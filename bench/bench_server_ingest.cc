@@ -29,7 +29,7 @@
 //
 // Every socket row also reports the server's own INGEST ack-latency
 // percentiles (srv_p50/p99/p999_us): sketchd sketches its request
-// latencies into per-loop DDSketches (protocol v4 STATS), so the bench
+// latencies into per-op DDSketches (protocol v4 STATS), so the bench
 // shows both sides — client-observed throughput and server-measured
 // tail latency — from one run.
 //

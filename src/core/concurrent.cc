@@ -61,6 +61,20 @@ DDSketch ConcurrentDDSketch::Snapshot() const {
   return std::move(*merged);
 }
 
+DDSketch ConcurrentDDSketch::Drain() {
+  std::unique_ptr<DDSketch> drained;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    if (drained == nullptr) {
+      drained = std::make_unique<DDSketch>(shard->sketch);
+    } else {
+      (void)drained->MergeFrom(shard->sketch);  // same config: cannot fail
+    }
+    shard->sketch.Clear();
+  }
+  return std::move(*drained);
+}
+
 uint64_t ConcurrentDDSketch::count() const noexcept {
   uint64_t total = 0;
   for (const auto& shard : shards_) {

@@ -47,6 +47,13 @@ class ConcurrentDDSketch {
   /// Merged copy of all shards.
   DDSketch Snapshot() const;
 
+  /// Merged copy of all shards, emptying each shard as it is read: every
+  /// add lands in exactly one Drain() or in what remains for the next
+  /// (shard by shard under its lock, so nothing is lost or counted twice).
+  /// The emptied shards keep their allocations, so a periodic drain of a
+  /// window sketch does not rebuild it.
+  DDSketch Drain();
+
   /// Total count (sums shard counts; each shard read is locked).
   uint64_t count() const noexcept;
 

@@ -131,9 +131,9 @@ std::string_view LatencyOpName(LatencyOp op);
 
 /// One op's ack-latency summary, measured server-side from "request
 /// fully framed" to "response queued for write", in microseconds. The
-/// percentiles come from a DDSketch the serving layer keeps per event
-/// loop (relative accuracy = sketchd's --latency-alpha, default 0.01);
-/// an empty row reports count = 0 with all percentiles 0.
+/// percentiles come from a server-wide DDSketch the serving layer keeps
+/// per op (relative accuracy 0.01); an empty row reports count = 0 with
+/// all percentiles 0.
 struct OpLatencyStats {
   uint64_t count = 0;
   double p50_us = 0;

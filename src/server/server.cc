@@ -53,6 +53,35 @@ constexpr uint64_t kStagedRecordOverhead = 64;
 /// many samples — a handful of acks is noise, not a p99.
 constexpr uint64_t kThrottleMinSamples = 32;
 
+/// Throttle cadence, and so the length of each tag's latency window.
+constexpr auto kThrottleInterval = std::chrono::milliseconds(200);
+
+/// `n` of sketchd's own latency instruments, at 1% relative accuracy.
+/// One shard each: a row takes one Add per finished request or run, so
+/// its lock is rarely contended, and STATS and the throttle step read it
+/// while loops add — the case ConcurrentDDSketch exists for.
+std::vector<ConcurrentDDSketch> MakeLatencyRows(size_t n) {
+  DDSketchConfig config;
+  config.relative_accuracy = 0.01;
+  std::vector<ConcurrentDDSketch> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    // A fixed, valid configuration: Create cannot fail.
+    rows.push_back(std::move(ConcurrentDDSketch::Create(config, 1)).value());
+  }
+  return rows;
+}
+
+/// Adds `n` ack latencies of `start` → `now` (microseconds) to `row`. The
+/// floor keeps a sub-tick measurement out of the sketch's zero bucket,
+/// where it would stop counting toward the percentiles' log buckets.
+void RecordLatency(ConcurrentDDSketch& row, TimePoint start, TimePoint now,
+                   uint64_t n = 1) {
+  const double us =
+      std::chrono::duration<double, std::micro>(now - start).count();
+  row.Add(std::max(us, 1e-3), n);
+}
+
 /// The latency row a non-ingest request's ack is recorded into. Ingests
 /// and merges are routed by their per-entry outcome instead (a BUSY
 /// refusal lands in the BUSY row, see FinishRun).
@@ -122,20 +151,6 @@ struct SketchServer::Conn {
   TimePoint stall_deadline{};
 };
 
-/// One tag's ack-latency instrument (v7): a cumulative sketch feeding
-/// the per-tag STATS percentiles and a window sketch the throttle
-/// controller drains every tick. Guarded by its own mutex — loop
-/// threads Add one value per finished run, contending only with runs
-/// of the same tag.
-struct SketchServer::TagLatency {
-  TagLatency(DDSketch cumulative_in, DDSketch window_in)
-      : cumulative(std::move(cumulative_in)), window(std::move(window_in)) {}
-
-  std::mutex mu;
-  DDSketch cumulative;
-  DDSketch window;
-};
-
 /// One epoll event-loop thread. Owns a set of connections; loop 0 also
 /// owns the listening socket and distributes accepted connections
 /// round-robin over all loops. Cross-thread input (adopted fds from the
@@ -162,27 +177,7 @@ class SketchServer::EventLoop {
     if (listen_fd_ >= 0) {
       DD_RETURN_IF_ERROR(epoll_->Add(listen_fd_, EPOLLIN, &listen_tag_));
     }
-    // Self-instrumentation (v4): one latency sketch per LatencyOp.
-    // num_shards = 1 because only this loop's thread Adds (an
-    // uncontended lock, ~sketch-Add cost); the STATS handler — possibly
-    // another loop's thread — Snapshot()s concurrently, which is what
-    // ConcurrentDDSketch exists for. Create() also validates
-    // --latency-alpha, so a bad alpha fails Start() instead of crashing
-    // a loop.
-    DDSketchConfig latency_config;
-    latency_config.relative_accuracy = server_->options_.latency_alpha;
-    latency_rows_.reserve(kNumLatencyOps);
-    for (size_t i = 0; i < kNumLatencyOps; ++i) {
-      auto sketch = ConcurrentDDSketch::Create(latency_config, 1);
-      if (!sketch.ok()) return sketch.status();
-      latency_rows_.push_back(std::move(sketch).value());
-    }
     return Status::OK();
-  }
-
-  /// The per-op latency sketch, for the STATS handler's merge.
-  const ConcurrentDDSketch& latency_row(size_t op) const {
-    return latency_rows_[op];
   }
 
   void StartThread() {
@@ -228,14 +223,9 @@ class SketchServer::EventLoop {
   }
 
  private:
-  /// Records one ack latency (microseconds, measured `start` → `now`)
-  /// into this loop's row for `op`. The floor keeps a sub-tick
-  /// measurement out of the sketch's zero bucket, where it would stop
-  /// counting toward the percentiles' log buckets.
-  void RecordLatency(LatencyOp op, TimePoint start, TimePoint now) {
-    const double us =
-        std::chrono::duration<double, std::micro>(now - start).count();
-    latency_rows_[static_cast<size_t>(op)].Add(std::max(us, 1e-3));
+  /// Records one ack latency into the server's row for `op`.
+  void RecordOpLatency(LatencyOp op, TimePoint start, TimePoint now) {
+    RecordLatency(server_->op_latency_[static_cast<size_t>(op)], start, now);
   }
 
   void Wake() {
@@ -420,7 +410,7 @@ class SketchServer::EventLoop {
         if (!TagAdmissionLedger::ValidTagName(tag)) {
           response.code = StatusCode::kInvalidArgument;
           response.message = "invalid tag: want 1-64 chars of [A-Za-z0-9._-]";
-        } else if (const auto id = server_->RegisterTag(tag)) {
+        } else if (const auto id = server_->ledger_->RegisterTag(tag)) {
           c->tag_id = *id;
         } else {
           // Table full: refuse distinctly (not BUSY — retrying cannot
@@ -430,15 +420,15 @@ class SketchServer::EventLoop {
           response.message = "tag table full; connection keeps its current tag";
         }
         c->io.QueueWrite(EncodeResponse(response));
-        RecordLatency(LatencyOp::kStats, unit_start, Clock::now());
+        RecordOpLatency(LatencyOp::kStats, unit_start, Clock::now());
         FlushConn(c);
         continue;
       }
       if (!IsIngestOp(request.value().op)) {
         c->io.QueueWrite(
             EncodeResponse(server_->HandleNonIngest(request.value())));
-        RecordLatency(NonIngestLatencyOp(request.value().op), unit_start,
-                      Clock::now());
+        RecordOpLatency(NonIngestLatencyOp(request.value().op), unit_start,
+                        Clock::now());
         FlushConn(c);
         continue;
       }
@@ -500,7 +490,7 @@ class SketchServer::EventLoop {
       response.message = "SUBSCRIBE must be the connection's only in-flight "
                          "request";
     }
-    RecordLatency(LatencyOp::kStats, unit_start, Clock::now());
+    RecordOpLatency(LatencyOp::kStats, unit_start, Clock::now());
     if (response.code != StatusCode::kOk) {
       c->io.QueueWrite(EncodeResponse(response));
       FlushConn(c);
@@ -536,7 +526,11 @@ class SketchServer::EventLoop {
     IngestRun* run = c->run.get();
     std::string out;
     const TimePoint now = Clock::now();
-    size_t acked = 0;
+    // Entries per latency row. Every entry shares the run's stamp, so one
+    // (latency, count) Add per row records the same buckets, count and
+    // max as an Add per entry.
+    uint64_t per_op[kNumLatencyOps] = {};
+    uint64_t acked = 0;
     for (size_t i = 0; i < run->requests.size(); ++i) {
       Response response;
       response.op = run->requests[i].op;
@@ -551,19 +545,22 @@ class SketchServer::EventLoop {
       // would skew the p99 the throttle controller judges by.
       const bool busy = response.code == StatusCode::kBusy;
       if (run->entries[i].result.ok()) ++acked;
-      RecordLatency(busy ? LatencyOp::kBusy
-                         : (response.op == Request::Op::kIngest
-                                ? LatencyOp::kIngest
-                                : LatencyOp::kMerge),
-                    run->start, now);
+      ++per_op[static_cast<size_t>(
+          busy ? LatencyOp::kBusy
+               : (response.op == Request::Op::kIngest ? LatencyOp::kIngest
+                                                      : LatencyOp::kMerge))];
     }
-    // The tag's own ack-latency sketch (v7): the instrument the
-    // throttle controller and the per-tag STATS rows read. One value
-    // for the whole run — every entry shares the run's stamp.
+    for (size_t op = 0; op < kNumLatencyOps; ++op) {
+      if (per_op[op] > 0) {
+        RecordLatency(server_->op_latency_[op], run->start, now, per_op[op]);
+      }
+    }
+    // The tag's own ack-latency rows (v7): the cumulative one feeds the
+    // per-tag STATS percentiles, the window the throttle step.
     if (acked > 0) {
-      const double us =
-          std::chrono::duration<double, std::micro>(now - run->start).count();
-      server_->RecordTagAckLatency(c->tag_id, us, acked);
+      RecordLatency(server_->tag_latency_[c->tag_id], run->start, now, acked);
+      RecordLatency(server_->tag_latency_window_[c->tag_id], run->start, now,
+                    acked);
     }
     c->run.reset();
     c->last_activity = Clock::now();
@@ -674,11 +671,6 @@ class SketchServer::EventLoop {
   std::vector<int> adopted_fds_;         // guarded by mu_
   std::vector<IngestRun*> completions_;  // guarded by mu_
 
-  /// v4 self-instrumentation: ack-latency sketches, indexed by
-  /// LatencyOp. Written by this loop's thread only; read (Snapshot) by
-  /// whichever loop serves STATS.
-  std::vector<ConcurrentDDSketch> latency_rows_;
-
   // Loop-thread-only state.
   std::unordered_map<Conn*, std::unique_ptr<Conn>> conns_;
   std::vector<std::unique_ptr<Conn>> graveyard_;
@@ -701,9 +693,6 @@ Result<std::unique_ptr<SketchServer>> SketchServer::Start(
   }
   if (options.tag_p99_target_us < 0) {
     return Status::InvalidArgument("tag_p99_target_us must be >= 0");
-  }
-  if (options.tag_throttle_interval_ms <= 0) {
-    return Status::InvalidArgument("tag_throttle_interval_ms must be >= 1");
   }
   for (const auto& [tag, weight] : options.tag_weights) {
     if (!TagAdmissionLedger::ValidTagName(tag)) {
@@ -778,14 +767,8 @@ Result<std::unique_ptr<SketchServer>> SketchServer::Start(
     server->shards_[k]->committer =
         std::thread([s = server.get(), k] { s->CommitLoop(k); });
   }
-  if (server->SchedulerEnabled()) {
-    server->checkpoint_thread_ =
-        std::thread([s = server.get()] { s->CheckpointLoop(); });
-  }
-  if (options.tag_p99_target_us > 0) {
-    server->throttle_thread_ =
-        std::thread([s = server.get()] { s->ThrottleLoop(); });
-  }
+  server->maintenance_thread_ =
+      std::thread([s = server.get()] { s->MaintenanceLoop(); });
   for (auto& loop : server->loops_) loop->StartThread();
   if (options.durable.role == StoreRole::kFollower) {
     ReplicationFollowerOptions follow_options;
@@ -800,7 +783,11 @@ Result<std::unique_ptr<SketchServer>> SketchServer::Start(
 
 SketchServer::SketchServer(SketchServerOptions options,
                            ShardedDurableStore store)
-    : options_(std::move(options)), store_(std::move(store)) {
+    : options_(std::move(options)),
+      store_(std::move(store)),
+      op_latency_(MakeLatencyRows(kNumLatencyOps)),
+      tag_latency_(MakeLatencyRows(TagAdmissionLedger::kMaxTags)),
+      tag_latency_window_(MakeLatencyRows(TagAdmissionLedger::kMaxTags)) {
   ledger_ = std::make_unique<TagAdmissionLedger>(options_.staged_bytes_budget,
                                                  options_.tag_floor_fraction,
                                                  options_.tag_weights);
@@ -844,17 +831,11 @@ void SketchServer::Stop() {
     if (shard->committer.joinable()) shard->committer.join();
   }
   {
-    std::lock_guard<std::mutex> lk(scheduler_mu_);
-    scheduler_stop_ = true;
+    std::lock_guard<std::mutex> lk(maintenance_mu_);
+    maintenance_stop_ = true;
   }
-  scheduler_cv_.notify_all();
-  if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
-  {
-    std::lock_guard<std::mutex> lk(throttle_mu_);
-    throttle_stop_ = true;
-  }
-  throttle_cv_.notify_all();
-  if (throttle_thread_.joinable()) throttle_thread_.join();
+  maintenance_cv_.notify_all();
+  if (maintenance_thread_.joinable()) maintenance_thread_.join();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   listen_fd_ = -1;
   store_.reset();  // releases every shard's data-dir lock for reopeners
@@ -885,11 +866,8 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
   // before validation or admission (mirrors the BUSY refusal shape:
   // never staged, never acknowledged). The durable gate in the store
   // backstops this fast path if a fence races in after the check.
-  if (writes_fenced_.load(std::memory_order_relaxed)) {
-    const Status refusal = Status::Fenced(
-        role_follower_.load(std::memory_order_relaxed)
-            ? "this server is a follower; writes must go to the primary"
-            : "writer fenced: a newer primary holds the fencing token");
+  if (const Status refusal = CheckWritable("writes must go to the primary");
+      !refusal.ok()) {
     for (size_t i = 0; i < n; ++i) {
       run->entries[i].run = run;
       run->entries[i].result = refusal;
@@ -998,52 +976,34 @@ Response SketchServer::HandleNonIngest(const Request& request) {
       }
       return response;
     }
-    case Request::Op::kCheckpoint: {
-      if (writes_fenced_.load(std::memory_order_relaxed)) {
-        return fail(Status::Fenced(
-            role_follower_.load(std::memory_order_relaxed)
-                ? "this server is a follower; checkpoints run on the primary"
-                : "writer fenced: a newer primary holds the fencing token"));
-      }
-      // "Checkpoint all shards", one shard lock at a time so ingest on
-      // the others keeps flowing while each snapshot is written.
-      uint64_t min_epoch = 0;
-      for (size_t k = 0; k < shards_.size(); ++k) {
-        std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-        if (Status status = store_->shard(k).Checkpoint(); !status.ok()) {
-          return fail(status);
-        }
-        shards_[k]->checkpoint_deadline_base = Clock::now();
-        const uint64_t epoch = store_->shard(k).epoch();
-        min_epoch = k == 0 ? epoch : std::min(min_epoch, epoch);
-      }
-      response.epoch = min_epoch;
-      return response;
-    }
+    case Request::Op::kCheckpoint:
     case Request::Op::kCompact: {
-      if (writes_fenced_.load(std::memory_order_relaxed)) {
-        return fail(Status::Fenced(
-            role_follower_.load(std::memory_order_relaxed)
-                ? "this server is a follower; compaction runs on the primary"
-                : "writer fenced: a newer primary holds the fencing token"));
+      const bool compact = request.op == Request::Op::kCompact;
+      if (const Status refusal =
+              CheckWritable(compact ? "compaction runs on the primary"
+                                    : "checkpoints run on the primary");
+          !refusal.ok()) {
+        return fail(refusal);
       }
-      // Like CHECKPOINT: every shard, one lock at a time. The explicit
+      // Every shard, one shard lock at a time so ingest on the others
+      // keeps flowing while each snapshot is written. COMPACT's explicit
       // fold honours the caller's clock (clamped to the data horizon
       // inside the store); the checkpoint that persists it also ages
       // anything eligible by data time.
-      uint64_t folded = 0;
-      uint64_t min_epoch = 0;
       for (size_t k = 0; k < shards_.size(); ++k) {
         std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-        auto compacted = store_->shard(k).Compact(request.compact_now);
-        if (!compacted.ok()) return fail(compacted.status());
-        folded += compacted.value();
+        DurableSketchStore& shard_store = store_->shard(k);
+        if (compact) {
+          auto compacted = shard_store.Compact(request.compact_now);
+          if (!compacted.ok()) return fail(compacted.status());
+          response.compacted += compacted.value();
+        } else if (Status status = shard_store.Checkpoint(); !status.ok()) {
+          return fail(status);
+        }
         shards_[k]->checkpoint_deadline_base = Clock::now();
-        const uint64_t epoch = store_->shard(k).epoch();
-        min_epoch = k == 0 ? epoch : std::min(min_epoch, epoch);
+        const uint64_t epoch = shard_store.epoch();
+        response.epoch = k == 0 ? epoch : std::min(response.epoch, epoch);
       }
-      response.compacted = folded;
-      response.epoch = min_epoch;
       return response;
     }
     case Request::Op::kStats: {
@@ -1117,14 +1077,12 @@ Response SketchServer::HandleNonIngest(const Request& request) {
         tag_row.busy_rejections = row.busy_rejections;
         tag_row.throttle_permille =
             static_cast<uint64_t>(row.borrow_share * 1000.0 + 0.5);
-        if (TagLatency* lat = TagLatencyFor(row.id)) {
-          std::lock_guard<std::mutex> lat_lk(lat->mu);
-          tag_row.count = lat->cumulative.count();
-          if (tag_row.count > 0) {
-            tag_row.p50_us = lat->cumulative.QuantileOrNaN(0.5);
-            tag_row.p99_us = lat->cumulative.QuantileOrNaN(0.99);
-            tag_row.p999_us = lat->cumulative.QuantileOrNaN(0.999);
-          }
+        const DDSketch latency = tag_latency_[row.id].Snapshot();
+        tag_row.count = latency.count();
+        if (tag_row.count > 0) {
+          tag_row.p50_us = latency.QuantileOrNaN(0.5);
+          tag_row.p99_us = latency.QuantileOrNaN(0.99);
+          tag_row.p999_us = latency.QuantileOrNaN(0.999);
         }
         stats.tags.push_back(std::move(tag_row));
       }
@@ -1157,110 +1115,25 @@ Response SketchServer::HandleNonIngest(const Request& request) {
 }
 
 void SketchServer::FillOpLatencies(StoreStats* stats) const {
-  if (loops_.empty()) return;
   for (size_t i = 0; i < kNumLatencyOps; ++i) {
-    DDSketch merged = loops_[0]->latency_row(i).Snapshot();
-    for (size_t l = 1; l < loops_.size(); ++l) {
-      // Every loop built its sketch from the same config, so the merge
-      // cannot fail (full mergeability: the result equals one sketch
-      // over all loops' latencies).
-      (void)merged.MergeFrom(loops_[l]->latency_row(i).Snapshot());
-    }
+    const DDSketch latency = op_latency_[i].Snapshot();
     OpLatencyStats& row = stats->op_latencies[i];
-    row.count = merged.count();
+    row.count = latency.count();
     if (row.count == 0) continue;  // empty rows report zeros, never NaN
-    row.p50_us = merged.QuantileOrNaN(0.5);
-    row.p90_us = merged.QuantileOrNaN(0.9);
-    row.p99_us = merged.QuantileOrNaN(0.99);
-    row.p999_us = merged.QuantileOrNaN(0.999);
-    row.max_us = merged.max();
+    row.p50_us = latency.QuantileOrNaN(0.5);
+    row.p90_us = latency.QuantileOrNaN(0.9);
+    row.p99_us = latency.QuantileOrNaN(0.99);
+    row.p999_us = latency.QuantileOrNaN(0.999);
+    row.max_us = latency.max();
   }
 }
 
-SketchServer::TagLatency* SketchServer::TagLatencyFor(uint32_t tag_id) {
-  std::lock_guard<std::mutex> lk(tag_latency_mu_);
-  if (tag_latency_.size() <= tag_id) tag_latency_.resize(tag_id + 1);
-  if (!tag_latency_[tag_id]) {
-    DDSketchConfig config;
-    config.relative_accuracy = options_.latency_alpha;
-    auto cumulative = DDSketch::Create(config);
-    auto window = DDSketch::Create(config);
-    // latency_alpha was validated when the event loops built their own
-    // sketches at Start; a failure here is unreachable.
-    if (!cumulative.ok() || !window.ok()) return nullptr;
-    tag_latency_[tag_id] = std::make_unique<TagLatency>(
-        std::move(cumulative).value(), std::move(window).value());
-  }
-  return tag_latency_[tag_id].get();
-}
-
-std::optional<uint32_t> SketchServer::RegisterTag(std::string_view tag) {
-  const std::optional<uint32_t> id = ledger_->RegisterTag(tag);
-  if (id) (void)TagLatencyFor(*id);  // the controller ticks over existing slots
-  return id;
-}
-
-void SketchServer::RecordTagAckLatency(uint32_t tag_id, double us, size_t n) {
-  TagLatency* lat = TagLatencyFor(tag_id);
-  if (lat == nullptr || n == 0) return;
-  // Same sub-tick floor as the per-loop rows: a value in the sketch's
-  // zero bucket would stop counting toward the percentiles.
-  const double value = std::max(us, 1e-3);
-  std::lock_guard<std::mutex> lk(lat->mu);
-  lat->cumulative.Add(value, n);
-  lat->window.Add(value, n);
-}
-
-void SketchServer::ThrottleLoop() {
-  const auto interval = std::chrono::milliseconds(
-      std::max<int64_t>(1, options_.tag_throttle_interval_ms));
-  const double target_us = static_cast<double>(options_.tag_p99_target_us);
-  std::unique_lock<std::mutex> lk(throttle_mu_);
-  for (;;) {
-    throttle_cv_.wait_for(lk, interval, [this] { return throttle_stop_; });
-    if (throttle_stop_) return;
-    lk.unlock();
-    size_t n_tags = 0;
-    {
-      std::lock_guard<std::mutex> tags_lk(tag_latency_mu_);
-      n_tags = tag_latency_.size();
-    }
-    for (uint32_t id = 0; id < n_tags; ++id) {
-      TagLatency* lat = nullptr;
-      {
-        std::lock_guard<std::mutex> tags_lk(tag_latency_mu_);
-        lat = tag_latency_[id].get();
-      }
-      if (lat == nullptr) continue;
-      // Drain the tag's window: its p99 over the last tick is the
-      // controller's whole input (dogfooding the paper's sketch —
-      // mergeable, fixed-size, relative-error percentiles).
-      uint64_t window_count = 0;
-      double window_p99 = 0;
-      {
-        std::lock_guard<std::mutex> lat_lk(lat->mu);
-        window_count = lat->window.count();
-        if (window_count > 0) {
-          window_p99 = lat->window.QuantileOrNaN(0.99);
-          DDSketchConfig config;
-          config.relative_accuracy = options_.latency_alpha;
-          auto fresh = DDSketch::Create(config);
-          if (fresh.ok()) lat->window = std::move(fresh).value();
-        }
-      }
-      const double share = ledger_->borrow_share(id);
-      if (window_count >= kThrottleMinSamples && window_p99 > target_us) {
-        // Breach: halve the tag's borrowable share. Its floor is
-        // untouchable, so a throttled tenant degrades, never starves.
-        ledger_->set_borrow_share(id, share * 0.5);
-      } else if (share < 1.0 && window_p99 <= target_us) {
-        // Recovery: decay back toward full borrowing, additive nudge so
-        // a fully-halved share escapes zero-progress multiplication.
-        ledger_->set_borrow_share(id, share * 1.25 + 0.01);
-      }
-    }
-    lk.lock();
-  }
+Status SketchServer::CheckWritable(const char* follower_hint) const {
+  if (!writes_fenced_.load(std::memory_order_relaxed)) return Status::OK();
+  return Status::Fenced(
+      role_follower_.load(std::memory_order_relaxed)
+          ? std::string("this server is a follower; ") + follower_hint
+          : "writer fenced: a newer primary holds the fencing token");
 }
 
 void SketchServer::CommitLoop(size_t shard_index) {
@@ -1365,9 +1238,9 @@ void SketchServer::CommitOneBatch(size_t shard_index,
   lk->lock();
 }
 
-void SketchServer::CheckpointLoop() {
-  const auto interval =
-      std::chrono::milliseconds(options_.checkpoint_interval_ms);
+void SketchServer::MaintenanceLoop() {
+  const bool checkpoints = options_.checkpoint_wal_bytes > 0 ||
+                           options_.checkpoint_interval_ms > 0;
   // Poll cadence: fine-grained enough that a tiny test interval fires
   // promptly, coarse enough that an idle daemon costs nothing. Each poll
   // is a few mutex-guarded integer reads per shard.
@@ -1377,54 +1250,93 @@ void SketchServer::CheckpointLoop() {
         poll, std::chrono::milliseconds(
                   std::max<int64_t>(1, options_.checkpoint_interval_ms / 2)));
   }
-  std::unique_lock<std::mutex> lk(scheduler_mu_);
+  TimePoint last_throttle = Clock::now();
+  std::unique_lock<std::mutex> lk(maintenance_mu_);
   for (;;) {
-    scheduler_cv_.wait_for(lk, poll, [this] { return scheduler_stop_; });
-    if (scheduler_stop_) return;
+    maintenance_cv_.wait_for(lk, poll, [this] { return maintenance_stop_; });
+    if (maintenance_stop_) return;
+    lk.unlock();
+    // The throttle step goes first: a checkpoint below may hold this
+    // thread for the length of a snapshot write, and the step after it
+    // then judges a window that covers the longer span.
+    if (options_.tag_p99_target_us > 0 &&
+        Clock::now() - last_throttle >= kThrottleInterval) {
+      last_throttle = Clock::now();
+      ThrottleStep();
+    }
     // A follower (or fenced ex-primary) never checkpoints on its own:
     // the primary's stream drives its epochs. Checked every poll so a
-    // Promote() re-enables the scheduler in place.
-    if (writes_fenced_.load(std::memory_order_relaxed)) continue;
-    lk.unlock();
-    for (size_t k = 0; k < shards_.size(); ++k) {
-      Shard& shard = *shards_[k];
-      std::lock_guard<std::mutex> store_lk(shard.store_mu);
-      DurableSketchStore& shard_store = store_->shard(k);
-      const bool dirty = shard_store.wal_offset() > kWalHeaderBytes;
-      if (!dirty) {
-        // Nothing to fold; keep pushing the age deadline forward so an
-        // idle shard never checkpoints and a newly-dirty one gets a full
-        // interval before the time trigger fires.
-        shard.checkpoint_deadline_base = Clock::now();
-        continue;
-      }
-      const bool size_due = options_.checkpoint_wal_bytes > 0 &&
-                            shard_store.wal_offset() - kWalHeaderBytes >=
-                                options_.checkpoint_wal_bytes;
-      const bool time_due =
-          options_.checkpoint_interval_ms > 0 &&
-          Clock::now() - shard.checkpoint_deadline_base >= interval;
-      if (!size_due && !time_due) continue;
-      if (Clock::now() < shard.checkpoint_backoff_until) continue;
-      // Holding only this shard's store_mu: its committer waits, every
-      // other shard keeps committing. A scheduler checkpoint failure is
-      // not fail-stop — the WAL is untouched by a failed snapshot
-      // write, so ingest stays safe — but a full snapshot attempt every
-      // poll against a broken disk would burn CPU/IO silently, so
-      // failures back off and reach the operator's log.
-      if (Status status = shard_store.Checkpoint(); status.ok()) {
-        ++shard.background_checkpoints;
-      } else {
-        std::fprintf(stderr,
-                     "sketchd: background checkpoint of shard %zu failed "
-                     "(will retry in 5s): %s\n",
-                     k, status.ToString().c_str());
-        shard.checkpoint_backoff_until =
-            Clock::now() + std::chrono::seconds(5);
-      }
-      shard.checkpoint_deadline_base = Clock::now();
+    // Promote() re-enables the checkpoints in place.
+    if (checkpoints && !writes_fenced_.load(std::memory_order_relaxed)) {
+      CheckpointStep();
     }
     lk.lock();
+  }
+}
+
+void SketchServer::ThrottleStep() {
+  const double target_us = static_cast<double>(options_.tag_p99_target_us);
+  const size_t n_tags = ledger_->num_tags();  // <= kMaxTags rows exist
+  for (uint32_t id = 0; id < n_tags; ++id) {
+    // The tag's window p99 since the previous step is the controller's
+    // whole input (dogfooding the paper's sketch — mergeable,
+    // fixed-size, relative-error percentiles).
+    const DDSketch window = tag_latency_window_[id].Drain();
+    const uint64_t window_count = window.count();
+    const double window_p99 =
+        window_count > 0 ? window.QuantileOrNaN(0.99) : 0.0;
+    const double share = ledger_->borrow_share(id);
+    if (window_count >= kThrottleMinSamples && window_p99 > target_us) {
+      // Breach: halve the tag's borrowable share. Its floor is
+      // untouchable, so a throttled tenant degrades, never starves.
+      ledger_->set_borrow_share(id, share * 0.5);
+    } else if (share < 1.0 && window_p99 <= target_us) {
+      // Recovery: decay back toward full borrowing, additive nudge so
+      // a fully-halved share escapes zero-progress multiplication.
+      ledger_->set_borrow_share(id, share * 1.25 + 0.01);
+    }
+  }
+}
+
+void SketchServer::CheckpointStep() {
+  const auto interval =
+      std::chrono::milliseconds(options_.checkpoint_interval_ms);
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    Shard& shard = *shards_[k];
+    std::lock_guard<std::mutex> store_lk(shard.store_mu);
+    DurableSketchStore& shard_store = store_->shard(k);
+    const bool dirty = shard_store.wal_offset() > kWalHeaderBytes;
+    if (!dirty) {
+      // Nothing to fold; keep pushing the age deadline forward so an
+      // idle shard never checkpoints and a newly-dirty one gets a full
+      // interval before the time trigger fires.
+      shard.checkpoint_deadline_base = Clock::now();
+      continue;
+    }
+    const bool size_due = options_.checkpoint_wal_bytes > 0 &&
+                          shard_store.wal_offset() - kWalHeaderBytes >=
+                              options_.checkpoint_wal_bytes;
+    const bool time_due =
+        options_.checkpoint_interval_ms > 0 &&
+        Clock::now() - shard.checkpoint_deadline_base >= interval;
+    if (!size_due && !time_due) continue;
+    if (Clock::now() < shard.checkpoint_backoff_until) continue;
+    // Holding only this shard's store_mu: its committer waits, every
+    // other shard keeps committing. A background checkpoint failure is
+    // not fail-stop — the WAL is untouched by a failed snapshot write,
+    // so ingest stays safe — but a full snapshot attempt every poll
+    // against a broken disk would burn CPU/IO silently, so failures
+    // back off and reach the operator's log.
+    if (Status status = shard_store.Checkpoint(); status.ok()) {
+      ++shard.background_checkpoints;
+    } else {
+      std::fprintf(stderr,
+                   "sketchd: background checkpoint of shard %zu failed "
+                   "(will retry in 5s): %s\n",
+                   k, status.ToString().c_str());
+      shard.checkpoint_backoff_until = Clock::now() + std::chrono::seconds(5);
+    }
+    shard.checkpoint_deadline_base = Clock::now();
   }
 }
 

@@ -14,7 +14,8 @@
 //        ▼                         ▼
 //   shard-0 store     ...     shard-(N-1) store
 //        ▲                         ▲
-//        └──── checkpoint scheduler thread ────┘
+//        └────── maintenance thread ───────┘
+//          (tag throttle step, then background checkpoints)
 //
 // A small, fixed pool of event-loop threads multiplexes every
 // connection: each loop owns an epoll set of non-blocking sockets and
@@ -33,9 +34,9 @@
 // a guaranteed floor, and the rest is a borrowable shared pool — so a
 // flooding tenant exhausts its own allowance and gets BUSY (with a
 // retry_after_ms hint) while honest tags keep their floor. When
-// --tag-p99-target-us is set, a throttle controller thread watches
-// each tag's own ack-latency sketch and halves a breaching tag's
-// borrowable share, decaying it back on recovery. Runs are
+// --tag-p99-target-us is set, the maintenance thread's throttle duty
+// drains each tag's ack-latency window every 200 ms and halves a
+// breaching tag's borrowable share, decaying it back on recovery. Runs are
 // additionally capped per connection (`max_conn_inflight`), and
 // connections that stall mid-frame (slow loris), stop reading their
 // responses, or sit idle past the configured deadlines are shed.
@@ -44,7 +45,18 @@
 // up to `commit_batch` staged records per commit — N acknowledged
 // ingests for one fsync, with up to `shards` fsyncs in flight at once.
 // A client sees OK only after the shard batch holding its record is
-// durable. The background checkpoint scheduler is also unchanged.
+// durable.
+//
+// One maintenance thread runs both periodic policies on one ~50 ms
+// tick: the throttle duty first (at most every 200 ms), then the
+// background checkpoint triggers. A background checkpoint can therefore
+// delay the next throttle step by its own length; that step's window
+// then simply covers the longer span.
+//
+// Self-instrumentation: every latency row — six per-op rows and a
+// cumulative plus a window row per tag id — is a server-wide
+// single-shard ConcurrentDDSketch created at construction. A finished
+// run adds one (latency, count) pair per row it touches.
 //
 // QUERY / CHECKPOINT / STATS run on the loop thread. QUERY locks only
 // the owning shard's store_mu; CHECKPOINT and STATS walk the shards
@@ -78,6 +90,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/concurrent.h"
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "server/replication.h"
@@ -130,8 +143,6 @@ struct SketchServerOptions {
   /// ingest/merge ack p99 (microseconds) breaches this target.
   /// 0 disables the controller (floors still isolate tenants).
   int64_t tag_p99_target_us = 0;
-  /// Controller tick cadence (also the per-tag latency window length).
-  int64_t tag_throttle_interval_ms = 200;
   /// Per-connection cap on records staged in one run (one run per
   /// connection may be in flight; reads pause until it commits).
   size_t max_conn_inflight = 1024;
@@ -143,11 +154,6 @@ struct SketchServerOptions {
   /// to complete within this deadline. Byte-at-a-time progress does not
   /// reset it. 0 = never.
   int64_t stall_timeout_ms = 10000;
-  /// Relative accuracy of the self-instrumentation sketches: each event
-  /// loop records every request's ack latency into a per-op DDSketch at
-  /// this alpha, and STATS reports the merged percentiles (protocol
-  /// v4). The default matches the library default.
-  double latency_alpha = 0.01;
 
   // --- Replication (protocol v5). The server's role comes from
   // durable.role: kFollower additionally requires follow_host/port. ---
@@ -175,8 +181,8 @@ struct SketchServerOptions {
 class SketchServer {
  public:
   /// Opens (or recovers) `data_dir`, binds the listening socket, and
-  /// launches the event loops, one committer per shard, and (when a
-  /// checkpoint trigger is configured) the checkpoint scheduler.
+  /// launches the event loops, one committer per shard, and the
+  /// maintenance thread.
   static Result<std::unique_ptr<SketchServer>> Start(
       const std::string& data_dir, const SketchServerOptions& options);
 
@@ -201,8 +207,8 @@ class SketchServer {
   /// exactly one WAL fsync).
   uint64_t batch_commits() const noexcept;
 
-  /// Checkpoints the scheduler has run since Start, totaled across
-  /// shards (client CHECKPOINTs are not counted).
+  /// Background checkpoints run since Start, totaled across shards
+  /// (client CHECKPOINTs are not counted).
   uint64_t background_checkpoints() const noexcept;
 
   /// Serving counters (also reported via STATS).
@@ -256,7 +262,7 @@ class SketchServer {
     IngestRun* run = nullptr;  // completion rendezvous
   };
 
-  /// Everything one shard's committer and scheduler state needs. The
+  /// Everything one shard's committer and checkpoint state needs. The
   /// shard's DurableSketchStore itself lives in store_ (same index).
   struct Shard {
     std::mutex store_mu;  // serializes every access to this shard's store
@@ -277,11 +283,12 @@ class SketchServer {
 
     std::thread committer;
 
-    /// Scheduler bookkeeping (guarded by store_mu, like the store).
+    /// Background-checkpoint bookkeeping (guarded by store_mu, like the
+    /// store).
     std::chrono::steady_clock::time_point checkpoint_deadline_base;
-    /// After a failed background checkpoint the scheduler skips this
-    /// shard until here — a snapshot write is expensive, so a
-    /// persistently failing one must not be retried every poll.
+    /// After a failed background checkpoint this shard is skipped until
+    /// here — a snapshot write is expensive, so a persistently failing
+    /// one must not be retried every poll.
     std::chrono::steady_clock::time_point checkpoint_backoff_until{};
     uint64_t background_checkpoints = 0;
   };
@@ -291,10 +298,13 @@ class SketchServer {
   /// Handles QUERY / CHECKPOINT / STATS on a loop thread (thread-safe:
   /// takes only per-shard locks).
   Response HandleNonIngest(const Request& request);
-  /// Fills the v4 latency rows: merges every event loop's per-op
-  /// latency sketches (ConcurrentDDSketch snapshots, safe concurrent
-  /// with the loops' adds) and extracts the STATS percentiles.
+  /// Fills the v4 latency rows from the per-op sketches (snapshots are
+  /// safe concurrent with the loops' adds).
   void FillOpLatencies(StoreStats* stats) const;
+  /// OK while this server accepts writes; otherwise the FENCED refusal,
+  /// worded for a follower ("this server is a follower; " +
+  /// `follower_hint`) or a fenced ex-primary.
+  Status CheckWritable(const char* follower_hint) const;
   /// Validates, admission-checks, and stages one run of INGEST/MERGE
   /// requests across the owning shards' queues. Returns true when the
   /// run is already complete (everything refused at validation,
@@ -307,9 +317,15 @@ class SketchServer {
   /// them with one fsync, and posts completed runs back to their event
   /// loops. Called with the shard's queue_mu held; returns with it held.
   void CommitOneBatch(size_t shard_index, std::unique_lock<std::mutex>* lk);
-  /// The background checkpoint scheduler: polls every shard's WAL size
-  /// and age against the configured triggers.
-  void CheckpointLoop();
+  /// The maintenance thread: one poll loop running the throttle step
+  /// and the background checkpoints until Stop().
+  void MaintenanceLoop();
+  /// Drains each tag's latency window; a tag whose p99 breaches
+  /// tag_p99_target_us has its borrowable share halved, a recovering
+  /// tag decays back toward 1.
+  void ThrottleStep();
+  /// Checkpoints every shard whose WAL size or age trigger has fired.
+  void CheckpointStep();
   /// Validates a SUBSCRIBE request (role, fencing token, position
   /// count) and builds its response; called on the loop thread before
   /// the connection is handed to the shipper. A subscriber announcing a
@@ -318,23 +334,6 @@ class SketchServer {
   /// Sticky-fences every shard against `observed_token` and flips the
   /// fast-path flag (the shipper's on_fence callback).
   void FenceSelf(uint64_t observed_token);
-  /// True when either background-checkpoint trigger is configured.
-  bool SchedulerEnabled() const noexcept {
-    return options_.checkpoint_wal_bytes > 0 ||
-           options_.checkpoint_interval_ms > 0;
-  }
-
-  /// Registers `tag` in the ledger and ensures its latency slot exists;
-  /// returns the tag id (SET_TAG handling on a loop thread), or nullopt
-  /// when the tag table is full (the connection keeps its current tag).
-  std::optional<uint32_t> RegisterTag(std::string_view tag);
-  /// Records `n` acked ingest/merge latencies of `us` microseconds into
-  /// the tag's cumulative + window sketches (FinishRun, loop threads).
-  void RecordTagAckLatency(uint32_t tag_id, double us, size_t n);
-  /// The tail-latency throttle controller: every tick, drain each tag's
-  /// latency window; a tag whose p99 breaches tag_p99_target_us has its
-  /// borrowable share halved, a recovering tag decays back toward 1.
-  void ThrottleLoop();
 
   SketchServerOptions options_;
   uint16_t port_ = 0;
@@ -353,13 +352,13 @@ class SketchServer {
   // Admission control: the per-tag staged-bytes ledger (v7) plus
   // serving counters (relaxed atomics; STATS reads are advisory).
   std::unique_ptr<TagAdmissionLedger> ledger_;
-  /// Per-tag ack-latency sketches, indexed by ledger tag id. The vector
-  /// grows under tag_latency_mu_; the per-tag object is stable once
-  /// created and has its own lock.
-  struct TagLatency;
-  mutable std::mutex tag_latency_mu_;
-  std::vector<std::unique_ptr<TagLatency>> tag_latency_;
-  TagLatency* TagLatencyFor(uint32_t tag_id);
+  /// Ack-latency instruments, all built at construction and never
+  /// resized. Per op (v4 STATS rows), indexed by LatencyOp; per ledger
+  /// tag id, a cumulative row (v7 tag STATS) and a window row the
+  /// throttle step drains.
+  std::vector<ConcurrentDDSketch> op_latency_;
+  std::vector<ConcurrentDDSketch> tag_latency_;
+  std::vector<ConcurrentDDSketch> tag_latency_window_;
   std::atomic<uint64_t> busy_rejections_{0};
   std::atomic<uint64_t> connections_open_{0};
   std::atomic<uint64_t> connections_accepted_{0};
@@ -376,15 +375,10 @@ class SketchServer {
   std::atomic<bool> role_follower_{false};
   std::mutex promote_mu_;  // serializes Promote() calls
 
-  std::mutex scheduler_mu_;
-  std::condition_variable scheduler_cv_;
-  bool scheduler_stop_ = false;  // guarded by scheduler_mu_
-  std::thread checkpoint_thread_;
-
-  std::mutex throttle_mu_;
-  std::condition_variable throttle_cv_;
-  bool throttle_stop_ = false;  // guarded by throttle_mu_
-  std::thread throttle_thread_;
+  std::mutex maintenance_mu_;
+  std::condition_variable maintenance_cv_;
+  bool maintenance_stop_ = false;  // guarded by maintenance_mu_
+  std::thread maintenance_thread_;
 
   bool stopped_ = false;  // Stop() ran to completion (main thread only)
 };

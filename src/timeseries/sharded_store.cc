@@ -116,46 +116,11 @@ Result<size_t> ShardedDurableStore::Compact(int64_t now) {
   return total;
 }
 
-uint64_t ShardedDurableStore::FenceToken() const {
-  uint64_t token = 0;
-  for (const auto& shard : shards_) {
-    token = std::max(token, shard->fence_token());
-  }
-  return token;
-}
-
 bool ShardedDurableStore::Fenced() const {
   for (const auto& shard : shards_) {
     if (shard->fenced()) return true;
   }
   return false;
-}
-
-Status ShardedDurableStore::Fence(uint64_t observed_token) {
-  for (auto& shard : shards_) {
-    DD_RETURN_IF_ERROR(shard->Fence(observed_token));
-  }
-  return Status::OK();
-}
-
-Status ShardedDurableStore::AdoptFenceToken(uint64_t token) {
-  for (auto& shard : shards_) {
-    DD_RETURN_IF_ERROR(shard->AdoptFenceToken(token));
-  }
-  return Status::OK();
-}
-
-Result<uint64_t> ShardedDurableStore::Promote() {
-  // Equalize first so every shard lands on the same new token even if
-  // a crash left them divergent.
-  DD_RETURN_IF_ERROR(AdoptFenceToken(FenceToken()));
-  uint64_t token = 0;
-  for (auto& shard : shards_) {
-    auto promoted = shard->Promote();
-    if (!promoted.ok()) return promoted.status();
-    token = promoted.value();
-  }
-  return token;
 }
 
 size_t ShardedDurableStore::TotalSeries() const {

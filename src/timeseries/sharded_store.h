@@ -135,23 +135,13 @@ class ShardedDurableStore {
 
   // --- Replication + fencing (durable_store.h) ---
   // The fencing token is logically one per server, but each shard's LOCK
-  // file is its durable home, so reads aggregate conservatively and
-  // writes apply to every shard. Cross-shard like Checkpoint: the caller
-  // holds whatever per-shard locks it uses for ingest.
+  // file is its durable home, so reads aggregate conservatively. The
+  // server fences and promotes shard by shard under its own locks.
 
   StoreRole role() const { return shards_[0]->role(); }
-  /// Max token across shards (they only diverge mid-crash).
-  uint64_t FenceToken() const;
   /// True when any shard is fenced — one fenced shard fences the server.
   bool Fenced() const;
   bool WritesFenced() const { return shards_[0]->writes_fenced() || Fenced(); }
-  /// Sticky-fences every shard against `observed_token`.
-  Status Fence(uint64_t observed_token);
-  /// Adopts a larger token on every shard (follower tracking its primary).
-  Status AdoptFenceToken(uint64_t token);
-  /// Promotes every shard to primary at max-token + 1; returns the new
-  /// (uniform) token.
-  Result<uint64_t> Promote();
 
   // Aggregates across shards (the CLI; the server aggregates per shard
   // itself because it needs to interleave its per-shard locks).

@@ -146,6 +146,46 @@ TEST(ConcurrentTest, SnapshotDuringIngestionIsConsistent) {
   for (auto& t : writers) t.join();
 }
 
+TEST(ConcurrentTest, DrainDuringIngestionLosesAndRepeatsNothing) {
+  // A window drained while writers add: every value must land in exactly
+  // one drain or in the final snapshot — none lost between a shard's
+  // read and its reset, none counted by two drains.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 50000;
+  ConcurrentDDSketch c = Make(4);
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&c, &running, t] {
+      Rng rng(4000 + static_cast<uint64_t>(t));
+      for (int i = 0; i < kPerThread; ++i) c.Add(1.0 + rng.NextDouble());
+      running.fetch_sub(1);
+    });
+  }
+  uint64_t drained = 0;
+  int drains = 0;
+  while (running.load() > 0) {
+    const DDSketch window = c.Drain();
+    drained += window.count();
+    ++drains;
+    if (!window.empty()) {
+      const double p50 = window.QuantileOrNaN(0.5);
+      EXPECT_GE(p50, 1.0 * (1 - 0.011));
+      EXPECT_LE(p50, 2.0 * (1 + 0.011));
+    }
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_GT(drains, 1);
+  EXPECT_EQ(drained + c.Snapshot().count(),
+            static_cast<uint64_t>(kThreads) * kPerThread);
+  // A drain empties the sketch; the next one sees only later adds.
+  c.Drain();
+  EXPECT_EQ(c.count(), 0u);
+  c.Add(3.0, 5);
+  EXPECT_EQ(c.Drain().count(), 5u);
+  EXPECT_TRUE(c.Snapshot().empty());
+}
+
 TEST(ConcurrentTest, MergeFromRemoteSketches) {
   ConcurrentDDSketch c = Make(4);
   constexpr int kWorkers = 16;

@@ -325,7 +325,6 @@ TEST_F(MultiTenantTest, ThrottleShrinksBreachingTagAndRecovers) {
   // A 1 µs p99 target no real commit can meet: every tick with enough
   // samples breaches, so the noisy tag's borrow share must shrink.
   options.tag_p99_target_us = 1;
-  options.tag_throttle_interval_ms = 50;
   options.tag_weights = {{"noisy", 2}};
   auto server = MustStart(Dir("throttle"), options);
 

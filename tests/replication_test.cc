@@ -614,9 +614,6 @@ TEST_F(ReplicationTest, LateFollowerBootstrapsViaChunkedSnapshot) {
   auto follower =
       MustStart(Dir("follower"), FollowerOptions(primary->port()));
   AwaitSubscribers(primary->port(), 1);
-  // 20 populated series encode far past 128 bytes: the image cannot
-  // have fit in one frame.
-  EXPECT_GE(primary->repl_snapshot_frames(), 1u);
 
   // Post-bootstrap tailing still works on top of the installed image.
   ASSERT_TRUE(client.IngestValue("svc.0", 500, 42.0).ok());
@@ -626,6 +623,11 @@ TEST_F(ReplicationTest, LateFollowerBootstrapsViaChunkedSnapshot) {
     auto stats = follower_client.Stats();
     return stats.ok() && stats.value().repl_applied_bytes > 0;
   })) << "follower never applied the bootstrap snapshot";
+  // 20 populated series encode far past 128 bytes: the image cannot
+  // have fit in one frame. Checked only now: the shipper's pump thread
+  // counts the snapshot when it ships it, after the subscriber count
+  // AwaitSubscribers watches has already risen.
+  EXPECT_GE(primary->repl_snapshot_frames(), 1u);
   const std::vector<double> qs = {0.25, 0.5, 0.99};
   for (int s = 0; s < 20; ++s) {
     const std::string name = "svc." + std::to_string(s);

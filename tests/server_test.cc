@@ -489,6 +489,53 @@ TEST_F(ServerTest, AggressiveCheckpointsDoNotBlockOrLoseConcurrentIngest) {
   }
 }
 
+TEST_F(ServerTest, OneMaintenanceThreadRunsCheckpointsAndThrottle) {
+  // Both periodic duties share one thread: with both checkpoint triggers
+  // on and a 1 µs p99 target no commit can meet, a tagged client's
+  // ingest must both advance background checkpoints and get its tag's
+  // borrowable share cut — neither duty starves the other — and Stop()
+  // must wake and join that thread promptly.
+  SketchServerOptions options;
+  options.shards = 2;
+  options.checkpoint_wal_bytes = 256;
+  options.checkpoint_interval_ms = 20;
+  options.tag_p99_target_us = 1;
+  auto server = MustStart(Dir("maintenance"), options);
+  auto tagged = SketchClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(tagged.ok()) << tagged.status().ToString();
+  ASSERT_TRUE(tagged.value().SetTag("noisy").ok());
+  SketchClient probe = MustConnect(*server);
+
+  auto noisy_permille = [](const StoreStats& stats) -> uint64_t {
+    for (const TagStatsRow& row : stats.tags) {
+      if (row.tag == "noisy") return row.throttle_permille;
+    }
+    return 1000;
+  };
+  StoreStats stats;
+  int64_t ts = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::vector<std::pair<int64_t, double>> burst;
+    for (int i = 0; i < 64; ++i) burst.emplace_back(ts++ % 100, 1.0);
+    ASSERT_TRUE(tagged.value().IngestValues("svc.noisy", burst).ok());
+    auto polled = probe.Stats();
+    ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+    stats = std::move(polled).value();
+    if (stats.background_checkpoints >= 2 && noisy_permille(stats) < 1000) {
+      break;
+    }
+  }
+  EXPECT_GE(stats.background_checkpoints, 2u);
+  EXPECT_LT(noisy_permille(stats), 1000u) << "p99 breach never throttled";
+
+  const auto stop_start = std::chrono::steady_clock::now();
+  server->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(2));
+}
+
 TEST_F(ServerTest, SecondServerOnSameDirIsLockedOut) {
   auto server = MustStart(Dir("locked"));
   auto second = SketchServer::Start(Dir("locked"), {});

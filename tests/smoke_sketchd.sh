@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end socket smoke test for the sketchd daemon, in seven acts:
 #
-#  0. doc drift: every --flag named in docs/OPERATIONS.md's flag table
-#     must appear in `sketchd --help`.
+#  0. flag hygiene: every --flag named in docs/OPERATIONS.md's flag
+#     table must appear in `sketchd --help`, and a numeric flag whose
+#     value is out of range or not a number is a usage error (exit 2).
 #  1. legacy single-shard pass: start on a temp data dir, ingest 10k
 #     values over the wire via ddsketch_cli, check the quantiles against
 #     an in-process reference sketch built from the same values (within
@@ -77,6 +78,19 @@ done
 # Guard the grep itself: if the doc's table markers move, fail loudly
 # instead of silently checking nothing.
 [ "$NFLAGS" -ge 8 ] || { echo "flag table not found in $OPS"; exit 1; }
+
+# A port past 65535 must not wrap to another port, and a word must not
+# read as 0 (auto-detect). The timeout only bounds a daemon that wrongly
+# starts; a correct one exits before opening the data directory.
+for bad in "--port 70000" "--shards four"; do
+  RC=0
+  # shellcheck disable=SC2086  # split "$bad" into flag and value
+  timeout 10 "$SKETCHD" --data-dir "$WORK/badflag" $bad \
+    > "$WORK/badflag.log" 2>&1 || RC=$?
+  [ "$RC" -eq 2 ] || {
+    echo "sketchd $bad exited $RC, want 2 (usage error)"
+    cat "$WORK/badflag.log"; exit 1; }
+done
 
 "$CLI" generate web_latency 10000 42 > "$WORK/values.txt"
 [ "$(wc -l < "$WORK/values.txt")" -eq 10000 ]

@@ -15,9 +15,8 @@
 //           [--checkpoint-wal-bytes 0] [--checkpoint-interval-s 0]
 //           [--event-loops 0] [--staged-bytes-budget 67108864]
 //           [--max-conn-inflight 1024] [--idle-timeout-s 300]
-//           [--stall-timeout-ms 10000] [--latency-alpha 0.01]
+//           [--stall-timeout-ms 10000]
 //           [--tag-budget tag=weight,..] [--tag-p99-target-us 0]
-//           [--tag-throttle-interval-ms 200]
 //           [--rollup-levels 10s,1m,1h] [--retention 1h,1d,inf]
 //           [--port-file FILE] [--role primary|follower]
 //           [--follow HOST:PORT] [--repl-ack-timeout-ms 1000]
@@ -38,11 +37,13 @@
 // Talk to it with `ddsketch_cli remote-ingest / remote-query /
 // remote-stats`, or any SketchClient (src/server/client.h).
 
+#include <charconv>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -52,25 +53,52 @@
 
 namespace {
 
+/// Parses the whole of `text` as a T in [lo, hi] — the one parser behind
+/// every numeric flag. std::from_chars takes no leading whitespace, '+'
+/// or base prefix, and no '-' for an unsigned T; trailing characters,
+/// values T cannot hold and NaN are refused too.
+template <typename T>
+bool ParseNumber(std::string_view text, T lo, T hi, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !(value >= lo && value <= hi)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+/// ParseNumber for a flag's value in [0, hi]; on failure prints which
+/// flag and range it wanted.
+template <typename T>
+bool ParseFlag(const std::string& flag, const char* text, T* out,
+               T hi = std::numeric_limits<T>::max()) {
+  if (ParseNumber<T>(text, 0, hi, out)) return true;
+  std::ostringstream range;
+  range << "[0, " << hi << "]";
+  std::fprintf(stderr, "sketchd: %s wants a number in %s, got '%s'\n",
+               flag.c_str(), range.str().c_str(), text);
+  return false;
+}
+
 /// Parses "10s", "1m", "1h", "2d", or a bare second count into seconds.
-/// Returns -1 on malformed input.
-int64_t ParseDurationSeconds(const std::string& text) {
-  if (text.empty()) return -1;
-  char* end = nullptr;
-  const long long n = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || n < 0) return -1;
+/// Returns -1 on malformed or overflowing input.
+int64_t ParseDurationSeconds(std::string_view text) {
   int64_t scale = 1;
-  if (*end != '\0') {
-    if (end[1] != '\0') return -1;
-    switch (*end) {
+  if (!text.empty() && (text.back() < '0' || text.back() > '9')) {
+    switch (text.back()) {
       case 's': scale = 1; break;
       case 'm': scale = 60; break;
       case 'h': scale = 3600; break;
       case 'd': scale = 86400; break;
       default: return -1;
     }
+    text.remove_suffix(1);
   }
-  return static_cast<int64_t>(n) * scale;
+  int64_t n = 0;
+  const int64_t max = std::numeric_limits<int64_t>::max() / scale;
+  return ParseNumber<int64_t>(text, 0, max, &n) ? n * scale : -1;
 }
 
 /// Parses a --tag-budget spec: "tag=weight,tag=weight,...". Weights are
@@ -86,16 +114,14 @@ bool ParseTagBudget(const std::string& text,
     if (comma == std::string::npos) comma = text.size();
     const std::string item = text.substr(start, comma - start);
     const size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == item.size()) {
+    uint64_t weight = 0;
+    if (eq == std::string::npos || eq == 0 ||
+        !ParseNumber<uint64_t>(std::string_view(item).substr(eq + 1), 1,
+                               std::numeric_limits<uint64_t>::max(),
+                               &weight)) {
       return false;
     }
-    char* end = nullptr;
-    const unsigned long long weight =
-        std::strtoull(item.c_str() + eq + 1, &end, 10);
-    if (end == item.c_str() + eq + 1 || *end != '\0' || weight == 0) {
-      return false;
-    }
-    out->emplace_back(item.substr(0, eq), static_cast<uint64_t>(weight));
+    out->emplace_back(item.substr(0, eq), weight);
     start = comma + 1;
   }
   return !out->empty();
@@ -178,9 +204,6 @@ void PrintUsage(std::FILE* out) {
       "  --stall-timeout-ms N      shed a connection whose hello, frame, or\n"
       "                            response drain stalls past N ms;\n"
       "                            0 = never (default 10000)\n"
-      "  --latency-alpha A         relative accuracy of the server's own\n"
-      "                            per-op ack-latency sketches, reported\n"
-      "                            via STATS (default 0.01)\n"
       "  --tag-budget SPEC         per-tag admission weights as\n"
       "                            tag=weight,tag=weight,... (e.g.\n"
       "                            gold=3,bronze=1). Each tag's floor is\n"
@@ -193,9 +216,6 @@ void PrintUsage(std::FILE* out) {
       "                            share halves per breach and recovers\n"
       "                            on good ticks; 0 = throttling off\n"
       "                            (default 0)\n"
-      "  --tag-throttle-interval-ms N\n"
-      "                            how often the throttle controller\n"
-      "                            samples per-tag p99 (default 200)\n"
       "  --rollup-levels L1,L2,..  resolution ladder: comma-separated\n"
       "                            interval widths, finest first, each a\n"
       "                            multiple of the previous (e.g.\n"
@@ -234,7 +254,11 @@ int main(int argc, char** argv) {
   std::vector<int64_t> rollup_intervals;
   std::vector<int64_t> rollup_retention;
   dd::SketchServerOptions options;
-  for (int i = 1; i < argc; ++i) {
+  // Seconds-valued flags are stored in milliseconds.
+  constexpr int64_t kMaxSeconds = std::numeric_limits<int64_t>::max() / 1000;
+  int64_t seconds = 0;
+  bool parsed = true;  // false once a numeric flag's value is refused
+  for (int i = 1; i < argc && parsed; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
@@ -244,33 +268,32 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && i + 1 < argc) {
       options.host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      options.port = static_cast<uint16_t>(std::strtoul(argv[++i], nullptr, 10));
+      parsed = ParseFlag(arg, argv[++i], &options.port);
     } else if (arg == "--alpha" && i + 1 < argc) {
-      options.durable.store.sketch.relative_accuracy =
-          std::strtod(argv[++i], nullptr);
+      parsed = ParseFlag(arg, argv[++i],
+                         &options.durable.store.sketch.relative_accuracy, 1.0);
     } else if (arg == "--shards" && i + 1 < argc) {
-      options.shards = std::strtoull(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.shards);
     } else if (arg == "--commit-batch" && i + 1 < argc) {
-      options.commit_batch = std::strtoull(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.commit_batch);
     } else if (arg == "--commit-interval-us" && i + 1 < argc) {
-      options.commit_interval_us = std::strtoll(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.commit_interval_us);
     } else if (arg == "--checkpoint-wal-bytes" && i + 1 < argc) {
-      options.checkpoint_wal_bytes = std::strtoull(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.checkpoint_wal_bytes);
     } else if (arg == "--checkpoint-interval-s" && i + 1 < argc) {
-      options.checkpoint_interval_ms =
-          std::strtoll(argv[++i], nullptr, 10) * 1000;
+      parsed = ParseFlag(arg, argv[++i], &seconds, kMaxSeconds);
+      options.checkpoint_interval_ms = seconds * 1000;
     } else if (arg == "--event-loops" && i + 1 < argc) {
-      options.event_loops = std::strtoull(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.event_loops);
     } else if (arg == "--staged-bytes-budget" && i + 1 < argc) {
-      options.staged_bytes_budget = std::strtoull(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.staged_bytes_budget);
     } else if (arg == "--max-conn-inflight" && i + 1 < argc) {
-      options.max_conn_inflight = std::strtoull(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.max_conn_inflight);
     } else if (arg == "--idle-timeout-s" && i + 1 < argc) {
-      options.idle_timeout_ms = std::strtoll(argv[++i], nullptr, 10) * 1000;
+      parsed = ParseFlag(arg, argv[++i], &seconds, kMaxSeconds);
+      options.idle_timeout_ms = seconds * 1000;
     } else if (arg == "--stall-timeout-ms" && i + 1 < argc) {
-      options.stall_timeout_ms = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg == "--latency-alpha" && i + 1 < argc) {
-      options.latency_alpha = std::strtod(argv[++i], nullptr);
+      parsed = ParseFlag(arg, argv[++i], &options.stall_timeout_ms);
     } else if (arg == "--tag-budget" && i + 1 < argc) {
       if (!ParseTagBudget(argv[++i], &options.tag_weights)) {
         std::fprintf(stderr,
@@ -279,9 +302,7 @@ int main(int argc, char** argv) {
         return Usage();
       }
     } else if (arg == "--tag-p99-target-us" && i + 1 < argc) {
-      options.tag_p99_target_us = std::strtoll(argv[++i], nullptr, 10);
-    } else if (arg == "--tag-throttle-interval-ms" && i + 1 < argc) {
-      options.tag_throttle_interval_ms = std::strtoll(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.tag_p99_target_us);
     } else if (arg == "--port-file" && i + 1 < argc) {
       port_file = argv[++i];
     } else if (arg == "--rollup-levels" && i + 1 < argc) {
@@ -314,20 +335,20 @@ int main(int argc, char** argv) {
       const std::string target = argv[++i];
       const size_t colon = target.rfind(':');
       if (colon == std::string::npos || colon == 0 ||
-          colon + 1 == target.size()) {
+          !ParseNumber<uint16_t>(std::string_view(target).substr(colon + 1), 1,
+                                 65535, &options.follow_port)) {
         std::fprintf(stderr, "sketchd: --follow wants HOST:PORT\n");
         return Usage();
       }
       options.follow_host = target.substr(0, colon);
-      options.follow_port = static_cast<uint16_t>(
-          std::strtoul(target.c_str() + colon + 1, nullptr, 10));
     } else if (arg == "--repl-ack-timeout-ms" && i + 1 < argc) {
-      options.repl_ack_timeout_ms = std::strtoll(argv[++i], nullptr, 10);
+      parsed = ParseFlag(arg, argv[++i], &options.repl_ack_timeout_ms);
     } else {
       std::fprintf(stderr, "sketchd: unknown option: %s\n", arg.c_str());
       return Usage();
     }
   }
+  if (!parsed) return Usage();
   if (data_dir.empty()) {
     std::fprintf(stderr, "sketchd: --data-dir is required\n");
     return Usage();
