@@ -2,9 +2,9 @@
 // hot path, and what sharding adds on top. Configurations over the same
 // value stream:
 //
-//   per_request_fsync   DurableSketchStore with sync_every_ingest, one
-//                       fsync per acknowledged record (the durability
-//                       baseline a naive server would ship);
+//   per_request_fsync   DurableSketchStore::IngestValue, one fsync per
+//                       acknowledged record (the durability baseline a
+//                       naive server would ship);
 //   group_commit_N      IngestBatch with batch size N — N acknowledged
 //                       records per fsync (a committer's drain path);
 //   socket_4conns       the full daemon: sketchd serving core + 4
@@ -120,7 +120,6 @@ fs::path FreshDir(const std::string& name) {
 RunResult RunPerRequestFsync(size_t n) {
   const fs::path dir = FreshDir("per_request");
   DurableSketchStoreOptions options;
-  options.sync_every_ingest = true;
   auto store = std::move(DurableSketchStore::Open(dir.string(), options)).value();
   const uint64_t fsyncs_before = TotalFsyncCount();
   const auto start = Clock::now();

@@ -197,17 +197,19 @@ void DDSketch::AddBatchFast(std::span<const double> values) noexcept {
   //  2. drain each index buffer into its dense store, which keeps the
   //     count/extreme bookkeeping in registers for the whole run rather
   //     than a memory round trip per value;
-  //  3. reduce sum/min/max over the accepted buffer with interleaved
-  //     accumulators, off the critical path of the classification loop
-  //     (a single serial sum chain would otherwise bound the whole batch
-  //     at FP-add latency per value).
+  //  3. reduce min/max over the accepted buffer with interleaved lanes,
+  //     off the critical path of the classification loop.
   // Anything outside the plain in-range case — NaN/inf, zero-bucket,
   // clamped magnitudes — detours through scalar Add, which maintains
   // every counter. Bucket counters make the store content insensitive to
   // the reordering between a detour and its chunk-mates (same argument
-  // as merge order independence); the interleaved summation makes sum()
-  // order-insensitive only up to floating-point rounding, which is all
-  // MergeFrom ever promised for it.
+  // as merge order independence). sum() is not — floating-point addition
+  // does not associate, and the sum is serialized — so it has one
+  // accumulator fed in input order during classification, a detour's Add
+  // summing at its own position. A batch thus leaves sum() bit-identical
+  // to the same values added one at a time, however a stream is cut into
+  // batches (a durable store's live state, WAL replay and follower apply
+  // rely on that to agree byte for byte).
   constexpr size_t kChunk = 512;
   int32_t pos_idx[kChunk];
   int32_t neg_idx[kChunk];
@@ -215,7 +217,7 @@ void DDSketch::AddBatchFast(std::span<const double> values) noexcept {
   const double lo_bound = fast_index_.min_indexable;
   const double hi_bound = fast_index_.max_indexable;
   const double multiplier = fast_index_.multiplier;
-  double sum0 = 0.0, sum1 = 0.0, sum2 = 0.0, sum3 = 0.0;
+  double sum = sum_;
   double lo0 = min_, lo1 = min_, hi0 = max_, hi1 = max_;
   for (size_t base = 0; base < values.size(); base += kChunk) {
     const size_t n = std::min(kChunk, values.size() - base);
@@ -227,7 +229,9 @@ void DDSketch::AddBatchFast(std::span<const double> values) noexcept {
       // compares, +/-inf and clamped magnitudes the second, zero-bucket
       // values the first.
       if (!(magnitude >= lo_bound && magnitude <= hi_bound)) {
+        sum_ = sum;
         Add(value, 1);
+        sum = sum_;
         continue;
       }
       const int32_t index = FastIndexT<kType>(multiplier, magnitude);
@@ -237,31 +241,23 @@ void DDSketch::AddBatchFast(std::span<const double> values) noexcept {
         neg_idx[nn++] = index;
       }
       accepted[na++] = value;
+      sum += value;
     }
     DrainIndexRun(positive_dense_, positive_.get(), {pos_idx, np});
     DrainIndexRun(negative_dense_, negative_.get(), {neg_idx, nn});
     size_t i = 0;
-    for (; i + 4 <= na; i += 4) {
-      sum0 += accepted[i];
-      sum1 += accepted[i + 1];
-      sum2 += accepted[i + 2];
-      sum3 += accepted[i + 3];
+    for (; i + 2 <= na; i += 2) {
       lo0 = accepted[i] < lo0 ? accepted[i] : lo0;
       hi0 = accepted[i] > hi0 ? accepted[i] : hi0;
       lo1 = accepted[i + 1] < lo1 ? accepted[i + 1] : lo1;
       hi1 = accepted[i + 1] > hi1 ? accepted[i + 1] : hi1;
-      lo0 = accepted[i + 2] < lo0 ? accepted[i + 2] : lo0;
-      hi0 = accepted[i + 2] > hi0 ? accepted[i + 2] : hi0;
-      lo1 = accepted[i + 3] < lo1 ? accepted[i + 3] : lo1;
-      hi1 = accepted[i + 3] > hi1 ? accepted[i + 3] : hi1;
     }
-    for (; i < na; ++i) {
-      sum0 += accepted[i];
+    if (i < na) {
       lo0 = accepted[i] < lo0 ? accepted[i] : lo0;
       hi0 = accepted[i] > hi0 ? accepted[i] : hi0;
     }
   }
-  sum_ += ((sum0 + sum1) + (sum2 + sum3));
+  sum_ = sum;
   // Merge, don't overwrite: scalar Add detours above may have advanced
   // min_/max_ past this loop's local view.
   min_ = std::min(std::min(min_, lo0), lo1);

@@ -89,8 +89,9 @@ class DDSketch {
   /// semantics (same rejection/zero-bucket/clamp handling) but a hot loop
   /// that hoists the indexable bounds, computes indices with zero virtual
   /// dispatch, increments dense-store slots directly, and reduces
-  /// sum/min/max in registers. The whole ingest stack
-  /// (ConcurrentDDSketch, SketchStore, DurableSketchStore, sketchd's
+  /// sum/min/max in registers. sum() accrues in input order, so it ends
+  /// bit-identical to adding the values one at a time. The whole ingest
+  /// stack (ConcurrentDDSketch, SketchStore, DurableSketchStore, sketchd's
   /// committer) funnels value batches through here.
   void AddBatch(std::span<const double> values) noexcept;
 

@@ -2,7 +2,7 @@
 // ledgers (protocol v7). Every connection charges its staged INGEST /
 // MERGE bytes to one tag ("default" unless the client sent SET_TAG);
 // each *configured* tag (--tag-budget, plus the built-in "default")
-// owns a guaranteed floor — a weighted slice of floor_fraction × budget
+// owns a guaranteed floor — a weighted slice of kFloorFraction × budget
 // that no other tag can consume — plus a borrowable share of the
 // remaining pool, so a flooding tag exhausts *its* allowance and gets
 // BUSY while honest tags keep their floor. Floors are fixed at
@@ -67,6 +67,9 @@ class TagAdmissionLedger {
   /// yet, and the cap so a hint can never park a client for seconds.
   static constexpr uint64_t kDefaultRetryMs = 10;
   static constexpr uint64_t kMaxRetryMs = 1000;
+  /// Half the staged budget is reserved as guaranteed per-tag floors;
+  /// the other half is the pool every tag may borrow from.
+  static constexpr double kFloorFraction = 0.5;
 
   /// `total_budget` 0 means unlimited: every TryAdmit succeeds but the
   /// per-tag accounting still runs (STATS still shows staged bytes).
@@ -74,7 +77,7 @@ class TagAdmissionLedger {
   /// only these — and "default", always registered as tag id 0 — split
   /// the floor reserve. At most kMaxTags entries (callers validate).
   TagAdmissionLedger(
-      uint64_t total_budget, double floor_fraction,
+      uint64_t total_budget,
       const std::vector<std::pair<std::string, uint64_t>>& weights);
 
   /// Tag-name contract shared with the SET_TAG op: 1..kMaxTagLength
@@ -136,7 +139,6 @@ class TagAdmissionLedger {
   uint64_t RetryHintMsLocked(const Tag& tag, uint64_t deficit) const;
 
   const uint64_t total_budget_;
-  const double floor_fraction_;
 
   mutable std::mutex mu_;
   std::vector<Tag> tags_;

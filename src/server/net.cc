@@ -139,10 +139,6 @@ Status Epoll::Add(int fd, uint32_t events, void* data) {
   return EpollCtl(fd_, EPOLL_CTL_ADD, fd, events, data, "epoll_ctl(ADD)");
 }
 
-Status Epoll::Mod(int fd, uint32_t events, void* data) {
-  return EpollCtl(fd_, EPOLL_CTL_MOD, fd, events, data, "epoll_ctl(MOD)");
-}
-
 Status Epoll::Del(int fd) {
   return EpollCtl(fd_, EPOLL_CTL_DEL, fd, 0, nullptr, "epoll_ctl(DEL)");
 }
@@ -194,30 +190,6 @@ Status FramedConn::ExpectHello() {
 
 Status FramedConn::WriteFrame(std::string_view frame) {
   return SendAll(fd_, frame);
-}
-
-Result<bool> FramedConn::TryReadFrame(std::string* body) {
-  for (;;) {
-    size_t frame_size = 0;
-    auto decoded = DecodeFrame(buffer_, &frame_size);
-    if (decoded.ok()) {
-      body->assign(decoded.value());
-      buffer_.erase(0, frame_size);
-      return true;
-    }
-    if (decoded.status().code() != StatusCode::kOutOfRange) {
-      return decoded.status();
-    }
-    char buf[1 << 16];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
-      return Status::Internal(Errno("recv"));
-    }
-    if (n == 0) return false;  // EOF: surfaced by the next ReadFrame
-    buffer_.append(buf, static_cast<size_t>(n));
-  }
 }
 
 Result<std::string> FramedConn::ReadFrame() {

@@ -6,10 +6,11 @@
 // FramedConn offers two I/O styles over one read buffer:
 //   - blocking (client side): SendHello/ExpectHello, WriteFrame,
 //     ReadFrame — EINTR-safe loops until the operation completes;
-//   - non-blocking (server event loop): FillFromSocket drains the
-//     socket edge-to-EAGAIN, TryConsumeHello / NextBufferedFrame parse
-//     only what is buffered, and QueueWrite / Flush buffer partial
-//     writes so a slow reader never blocks a loop thread.
+//   - non-blocking (server event loops, replication shipper):
+//     FillFromSocket drains the socket edge-to-EAGAIN, TryConsumeHello /
+//     NextBufferedFrame parse only what is buffered, and QueueWrite /
+//     Flush buffer partial writes so a slow reader never blocks a loop
+//     thread.
 //
 // IPv4 only (the daemon binds 127.0.0.1 by default); writes use
 // MSG_NOSIGNAL so a peer that disappears surfaces as a Status instead
@@ -41,7 +42,7 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port);
 Status SetNonBlocking(int fd);
 
 /// RAII wrapper over an epoll instance. Move-only; closes on destruction.
-/// The `data` pointer registered with Add/Mod comes back verbatim in
+/// The `data` pointer registered with Add comes back verbatim in
 /// epoll_event::data.ptr from Wait.
 class Epoll {
  public:
@@ -53,7 +54,6 @@ class Epoll {
   ~Epoll();
 
   Status Add(int fd, uint32_t events, void* data);
-  Status Mod(int fd, uint32_t events, void* data);
   Status Del(int fd);
 
   /// epoll_wait, EINTR-safe. Returns the number of events filled into
@@ -88,13 +88,6 @@ class FramedConn {
   /// verified). A clean EOF at a frame boundary fails with OutOfRange
   /// ("connection closed"); an EOF mid-frame is Corruption.
   Result<std::string> ReadFrame();
-
-  /// Non-blocking variant: returns true and fills *body when a complete
-  /// frame is already buffered or immediately readable, false when the
-  /// socket has nothing more right now (including a pending EOF, which
-  /// the next ReadFrame reports). Lets the server collect a pipelined
-  /// run of requests and stage them as one group-commit batch.
-  Result<bool> TryReadFrame(std::string* body);
 
   // --- non-blocking event-loop API (fd must be O_NONBLOCK) ---
   // Edge-triggered discipline: after an EPOLLIN edge, call

@@ -1,8 +1,6 @@
 #include "server/replication.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
 #include <poll.h>
 #include <sys/eventfd.h>
@@ -61,7 +59,7 @@ void ReplicationShipper::Stop() {
     if (stop_) return;
     stop_ = true;
     fenced = fenced_;
-    for (size_t i = 0; i < subs_.size(); ++i) ::close(subs_[i].fd);
+    for (const Subscriber& sub : subs_) ::close(sub.conn.fd());
     subs_.clear();
     subscriber_count_.store(0, std::memory_order_relaxed);
     for (auto& queue : parked_) {
@@ -87,9 +85,8 @@ void ReplicationShipper::AddSubscriber(
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (!stop_) {
-      Subscriber sub;
-      sub.fd = fd;
-      sub.out = std::move(initial_out);
+      Subscriber sub(fd);
+      sub.conn.QueueWrite(initial_out);
       positions.resize(shards_.size(), {0, 0});
       // The follower's claimed durable positions are its ack baseline:
       // nothing at or below them is owed an ack.
@@ -153,7 +150,7 @@ void ReplicationShipper::Wake() {
 
 bool ReplicationShipper::QueueShipping(Subscriber* sub) {
   for (size_t k = 0; k < shards_.size(); ++k) {
-    while (sub->out.size() - sub->out_off < options_.outbuf_bytes) {
+    while (sub->conn.pending_write_bytes() < options_.outbuf_bytes) {
       std::lock_guard<std::mutex> store_lk(*shards_[k].store_mu);
       const DurableSketchStore& store = *shards_[k].store;
       const uint64_t cur_epoch = store.epoch();
@@ -187,7 +184,7 @@ bool ReplicationShipper::QueueShipping(Subscriber* sub) {
         sent.second += frame.payload.size();
         shipped_bytes_.fetch_add(frame.payload.size(),
                                  std::memory_order_relaxed);
-        sub->out += EncodeReplFrame(frame);
+        sub->conn.QueueWrite(EncodeReplFrame(frame));
         continue;
       }
       // Position mismatch — the follower is fresh, ahead of us (a
@@ -219,26 +216,26 @@ bool ReplicationShipper::QueueShipping(Subscriber* sub) {
         frame.shard = k;
         frame.epoch = snap_epoch;
         frame.payload = std::move(image);
-        sub->out += EncodeReplFrame(frame);
+        sub->conn.QueueWrite(EncodeReplFrame(frame));
       } else {
         // v6 chunked bootstrap: the image streams as ≤chunk-sized
         // pieces closed by a terminating frame, so the per-frame cap
         // never bounds how large a shard can grow and still be
         // bootstrapped. The whole train is queued at once — the pump
-        // trickles `out` to the socket as the follower drains it.
+        // trickles the queue to the socket as the follower drains it.
         for (size_t off = 0; off < image.size();
              off += options_.snapshot_chunk_bytes) {
           ReplFrame chunk;
           chunk.tag = ReplFrame::Tag::kSnapshotChunk;
           chunk.shard = k;
           chunk.payload = image.substr(off, options_.snapshot_chunk_bytes);
-          sub->out += EncodeReplFrame(chunk);
+          sub->conn.QueueWrite(EncodeReplFrame(chunk));
         }
         ReplFrame end;
         end.tag = ReplFrame::Tag::kSnapshotEnd;
         end.shard = k;
         end.epoch = snap_epoch;
-        sub->out += EncodeReplFrame(end);
+        sub->conn.QueueWrite(EncodeReplFrame(end));
       }
       sent = {snap_epoch, kWalHeaderBytes};
     }
@@ -248,15 +245,14 @@ bool ReplicationShipper::QueueShipping(Subscriber* sub) {
 
 bool ReplicationShipper::ParseIncoming(Subscriber* sub,
                                        std::vector<uint64_t>* fences) {
+  std::string body;
   for (;;) {
-    size_t frame_size = 0;
-    auto body = DecodeFrame(sub->in, &frame_size);
-    if (!body.ok()) {
-      // An incomplete frame means "read more"; anything else is a
-      // protocol violation and the subscriber is cut off.
-      return body.status().code() == StatusCode::kOutOfRange;
-    }
-    auto frame = DecodeReplFrame(body.value());
+    // An incomplete frame means "read more"; a bad one is a protocol
+    // violation and the subscriber is cut off.
+    auto next = sub->conn.NextBufferedFrame(&body);
+    if (!next.ok()) return false;
+    if (!next.value()) return true;
+    auto frame = DecodeReplFrame(body);
     if (!frame.ok()) return false;
     switch (frame.value().tag) {
       case ReplFrame::Tag::kAck: {
@@ -274,7 +270,6 @@ bool ReplicationShipper::ParseIncoming(Subscriber* sub,
       default:
         return false;  // only the primary streams snapshots/segments
     }
-    sub->in.erase(0, frame_size);
   }
 }
 
@@ -321,14 +316,13 @@ void ReplicationShipper::DropExpired(
 }
 
 void ReplicationShipper::CloseSubscriberLocked(size_t index) {
-  ::close(subs_[index].fd);
+  ::close(subs_[index].conn.fd());
   subs_.erase(subs_.begin() + static_cast<ptrdiff_t>(index));
   subscriber_count_.store(subs_.size(), std::memory_order_relaxed);
 }
 
 void ReplicationShipper::PumpLoop() {
   std::vector<struct pollfd> fds;
-  char buf[64 * 1024];
   for (;;) {
     std::vector<std::function<void(bool)>> releases;
     std::vector<uint64_t> fences;
@@ -353,7 +347,7 @@ void ReplicationShipper::PumpLoop() {
             hb.token = shards_[0].store->fence_token();
           }
           hb.positions = sub.sent;
-          sub.out += EncodeReplFrame(hb);
+          sub.conn.QueueWrite(EncodeReplFrame(hb));
         }
       }
       DropExpired(&releases);
@@ -362,8 +356,8 @@ void ReplicationShipper::PumpLoop() {
       fds.push_back({wake_fd_, POLLIN, 0});
       for (const Subscriber& sub : subs_) {
         short events = POLLIN;
-        if (sub.out.size() > sub.out_off) events |= POLLOUT;
-        fds.push_back({sub.fd, events, 0});
+        if (sub.conn.pending_write_bytes() > 0) events |= POLLOUT;
+        fds.push_back({sub.conn.fd(), events, 0});
       }
     }
     for (auto& fn : releases) fn(release_fenced);
@@ -386,7 +380,7 @@ void ReplicationShipper::PumpLoop() {
         if (fds[f].revents == 0) continue;
         size_t i = subs_.size();
         for (size_t j = 0; j < subs_.size(); ++j) {
-          if (subs_[j].fd == fds[f].fd) {
+          if (subs_[j].conn.fd() == fds[f].fd) {
             i = j;
             break;
           }
@@ -395,38 +389,15 @@ void ReplicationShipper::PumpLoop() {
         Subscriber& sub = subs_[i];
         bool dead = (fds[f].revents & (POLLERR | POLLNVAL)) != 0;
         if (!dead && (fds[f].revents & (POLLIN | POLLHUP))) {
-          for (;;) {
-            const ssize_t n = ::recv(sub.fd, buf, sizeof(buf), 0);
-            if (n > 0) {
-              sub.in.append(buf, static_cast<size_t>(n));
-              continue;
-            }
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            if (n < 0 && errno == EINTR) continue;
-            dead = true;  // EOF or a hard error
-            break;
-          }
+          bool got_bytes = false;
+          auto still_open = sub.conn.FillFromSocket(&got_bytes);
+          dead = !still_open.ok() || !still_open.value();  // EOF or error
+          // Frames that arrived before the EOF still count: a promoted
+          // follower sends FENCE and then closes.
           if (!ParseIncoming(&sub, &fences)) dead = true;
         }
-        if (!dead && sub.out.size() > sub.out_off) {
-          for (;;) {
-            const size_t pending = sub.out.size() - sub.out_off;
-            if (pending == 0) {
-              sub.out.clear();
-              sub.out_off = 0;
-              break;
-            }
-            const ssize_t n = ::send(sub.fd, sub.out.data() + sub.out_off,
-                                     pending, MSG_NOSIGNAL);
-            if (n > 0) {
-              sub.out_off += static_cast<size_t>(n);
-              continue;
-            }
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-            if (n < 0 && errno == EINTR) continue;
-            dead = true;
-            break;
-          }
+        if (!dead && sub.conn.pending_write_bytes() > 0) {
+          dead = !sub.conn.Flush().ok();
         }
         if (dead) CloseSubscriberLocked(i);
       }

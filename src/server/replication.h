@@ -143,10 +143,10 @@ class ReplicationShipper {
 
  private:
   struct Subscriber {
-    int fd = -1;
-    std::string in;        // unparsed bytes from the follower
-    std::string out;       // frames queued for the follower
-    size_t out_off = 0;    // bytes of `out` already written
+    explicit Subscriber(int fd) : conn(fd) {}
+    /// The follower's socket and its read/write buffers; the shipper
+    /// closes conn.fd() when it drops the subscriber.
+    FramedConn conn;
     /// Last (epoch, offset) whose bytes were queued, per shard.
     std::vector<std::pair<uint64_t, uint64_t>> sent;
     /// Last (epoch, offset) the follower acknowledged durable, per shard.

@@ -687,10 +687,6 @@ Result<std::unique_ptr<SketchServer>> SketchServer::Start(
   if (options.max_conn_inflight == 0) {
     return Status::InvalidArgument("max_conn_inflight must be at least 1");
   }
-  if (options.tag_floor_fraction < 0.0 || options.tag_floor_fraction > 1.0 ||
-      !(options.tag_floor_fraction == options.tag_floor_fraction)) {
-    return Status::InvalidArgument("tag_floor_fraction must be in [0, 1]");
-  }
   if (options.tag_p99_target_us < 0) {
     return Status::InvalidArgument("tag_p99_target_us must be >= 0");
   }
@@ -789,7 +785,6 @@ SketchServer::SketchServer(SketchServerOptions options,
       tag_latency_(MakeLatencyRows(TagAdmissionLedger::kMaxTags)),
       tag_latency_window_(MakeLatencyRows(TagAdmissionLedger::kMaxTags)) {
   ledger_ = std::make_unique<TagAdmissionLedger>(options_.staged_bytes_budget,
-                                                 options_.tag_floor_fraction,
                                                  options_.tag_weights);
   const auto now = Clock::now();
   shards_.reserve(store_->num_shards());

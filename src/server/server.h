@@ -130,15 +130,13 @@ struct SketchServerOptions {
   /// queued, not yet durable) across all shards. Records arriving past
   /// the cap are refused with BUSY. 0 = unlimited. The cap is split
   /// into per-tag ledgers (v7): each tag's guaranteed floor is its
-  /// weighted slice of tag_floor_fraction × budget, the rest is a
-  /// shared pool any tag may borrow from.
+  /// weighted slice of half the budget, the rest is a shared pool any
+  /// tag may borrow from.
   uint64_t staged_bytes_budget = 64u << 20;
   /// Pre-registered tag weights (from sketchd --tag-budget). Tags not
   /// listed here register on first SET_TAG with weight 1; "default"
   /// always exists.
   std::vector<std::pair<std::string, uint64_t>> tag_weights;
-  /// Fraction of the budget reserved as guaranteed per-tag floors.
-  double tag_floor_fraction = 0.5;
   /// Throttle controller: shrink a tag's borrowable share when its own
   /// ingest/merge ack p99 (microseconds) breaches this target.
   /// 0 disables the controller (floors still isolate tenants).

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include <fcntl.h>
@@ -42,18 +43,82 @@ Status CheckOptionsMatch(const SketchStoreOptions& snapshot,
   return Status::OK();
 }
 
-Status Apply(SketchStore* store, const WalRecord& record) {
-  switch (record.type) {
-    case WalRecord::Type::kIngestSketch: {
-      auto decoded = DDSketch::Deserialize(record.payload);
-      if (!decoded.ok()) return decoded.status();
-      return store->IngestSketch(record.series, record.timestamp,
-                                 decoded.value());
+/// Recovery decodes and merges the WAL this many records at a time, so
+/// a large log never holds all of its decoded sketches at once.
+constexpr size_t kReplaySliceRecords = 1024;
+
+/// Deserializes a sketch record's payload and checks that it merges
+/// into `store`.
+Result<DDSketch> DecodeSketchRecord(const SketchStore& store,
+                                    const WalRecord& record) {
+  auto sketch = DDSketch::Deserialize(record.payload);
+  if (!sketch.ok()) return sketch.status();
+  DD_RETURN_IF_ERROR(store.CheckCompatible(sketch.value()));
+  return sketch;
+}
+
+/// The one decode: validates every record for a merge into `store`,
+/// deserializing each sketch payload once into *sketches (record order).
+/// Runs before anything reaches the log, so the WAL only ever holds
+/// records that replay cleanly.
+Status DecodeRecords(const SketchStore& store,
+                     std::span<const WalRecord> records,
+                     std::vector<DDSketch>* sketches) {
+  sketches->clear();
+  for (const WalRecord& record : records) {
+    switch (record.type) {
+      case WalRecord::Type::kIngestSketch: {
+        auto sketch = DecodeSketchRecord(store, record);
+        if (!sketch.ok()) return sketch.status();
+        sketches->push_back(std::move(sketch).value());
+        break;
+      }
+      case WalRecord::Type::kIngestValue:
+        break;
+      default:
+        return Status::Corruption("unknown WAL record type");
     }
-    case WalRecord::Type::kIngestValue:
-      return store->IngestValue(record.series, record.timestamp, record.value);
   }
-  return Status::Corruption("unknown WAL record type");
+  return Status::OK();
+}
+
+/// The one merge, shared by the committer, the follower and recovery:
+/// `sketches` are DecodeRecords' output for `records`. Runs of
+/// consecutive value records sharing a series and raw interval collapse
+/// into one IngestValues call — one interval lookup and one
+/// DDSketch::AddBatch pass instead of a lookup and an add per record.
+/// Each interval sketch sees its values and merges in record order, and
+/// AddBatch sums in input order, so the merged state is bit-identical
+/// however the record stream was cut into batches.
+Status MergeRecords(SketchStore* store, std::span<const WalRecord> records,
+                    std::span<const DDSketch> sketches) {
+  std::vector<double> run_values;
+  size_t next_sketch = 0;
+  for (size_t i = 0; i < records.size();) {
+    const WalRecord& record = records[i];
+    if (record.type == WalRecord::Type::kIngestSketch) {
+      DD_RETURN_IF_ERROR(store->IngestSketch(record.series, record.timestamp,
+                                             sketches[next_sketch++]));
+      ++i;
+      continue;
+    }
+    const int64_t interval = store->RawStart(record.timestamp);
+    run_values.clear();
+    size_t j = i;
+    for (; j < records.size(); ++j) {
+      const WalRecord& next = records[j];
+      if (next.type != WalRecord::Type::kIngestValue ||
+          next.series != record.series ||
+          store->RawStart(next.timestamp) != interval) {
+        break;
+      }
+      run_values.push_back(next.value);
+    }
+    DD_RETURN_IF_ERROR(
+        store->IngestValues(record.series, record.timestamp, run_values));
+    i = j;
+  }
+  return Status::OK();
 }
 
 /// The token every directory starts at; the first promotion moves to 2.
@@ -186,8 +251,13 @@ Result<DurableSketchStore> DurableSketchStore::Open(
       return Status::Corruption(
           "WAL epoch does not match the snapshot (mixed data directories?)");
     }
-    for (const WalRecord& record : wal.records) {
-      DD_RETURN_IF_ERROR(Apply(&store, record));
+    std::span<const WalRecord> rest(wal.records);
+    std::vector<DDSketch> sketches;
+    while (!rest.empty()) {
+      const auto slice = rest.first(std::min(rest.size(), kReplaySliceRecords));
+      DD_RETURN_IF_ERROR(DecodeRecords(store, slice, &sketches));
+      DD_RETURN_IF_ERROR(MergeRecords(&store, slice, sketches));
+      rest = rest.subspan(slice.size());
     }
     auto writer = WalWriter::OpenExisting(wal_path, wal.epoch, wal.valid_size);
     if (!writer.ok()) return writer.status();
@@ -199,50 +269,30 @@ Result<DurableSketchStore> DurableSketchStore::Open(
   return finish(std::move(store), std::move(writer).value());
 }
 
-Status DurableSketchStore::Append(const WalRecord& record) {
-  DD_RETURN_IF_ERROR(wal_.Append(record));
-  if (options_.sync_every_ingest) {
-    DD_RETURN_IF_ERROR(wal_.Sync());
-  }
-  return Status::OK();
-}
-
 Status DurableSketchStore::Ingest(const std::string& series, int64_t timestamp,
                                   std::string_view payload) {
-  DD_RETURN_IF_ERROR(CheckWritable());
-  // Validate fully before logging: the WAL must only ever contain records
-  // that replay cleanly.
-  auto decoded = DDSketch::Deserialize(payload);
-  if (!decoded.ok()) return decoded.status();
-  DD_RETURN_IF_ERROR(store_.CheckCompatible(decoded.value()));
-  WalRecord record;
-  record.type = WalRecord::Type::kIngestSketch;
-  record.series = series;
-  record.timestamp = timestamp;
-  record.payload.assign(payload);
-  DD_RETURN_IF_ERROR(Append(record));
-  return store_.IngestSketch(series, timestamp, decoded.value());
+  std::vector<WalRecord> batch(1);
+  batch[0].type = WalRecord::Type::kIngestSketch;
+  batch[0].series = series;
+  batch[0].timestamp = timestamp;
+  batch[0].payload.assign(payload);
+  return IngestBatch(batch);
 }
 
 Status DurableSketchStore::IngestValue(const std::string& series,
                                        int64_t timestamp, double value) {
-  DD_RETURN_IF_ERROR(CheckWritable());
-  WalRecord record;
-  record.type = WalRecord::Type::kIngestValue;
-  record.series = series;
-  record.timestamp = timestamp;
-  record.value = value;
-  DD_RETURN_IF_ERROR(Append(record));
-  return store_.IngestValue(series, timestamp, value);
+  std::vector<WalRecord> batch(1);
+  batch[0].type = WalRecord::Type::kIngestValue;
+  batch[0].series = series;
+  batch[0].timestamp = timestamp;
+  batch[0].value = value;
+  return IngestBatch(batch);
 }
 
 Status DurableSketchStore::ValidateRecord(const WalRecord& record) const {
   switch (record.type) {
-    case WalRecord::Type::kIngestSketch: {
-      auto decoded = DDSketch::Deserialize(record.payload);
-      if (!decoded.ok()) return decoded.status();
-      return store_.CheckCompatible(decoded.value());
-    }
+    case WalRecord::Type::kIngestSketch:
+      return DecodeSketchRecord(store_, record).status();
     case WalRecord::Type::kIngestValue:
       return Status::OK();
   }
@@ -251,87 +301,33 @@ Status DurableSketchStore::ValidateRecord(const WalRecord& record) const {
 
 Status DurableSketchStore::IngestBatch(const std::vector<WalRecord>& records) {
   DD_RETURN_IF_ERROR(CheckWritable());
-  // Validate everything before logging anything: the WAL must only ever
-  // contain records that replay cleanly, and a half-appended batch would
-  // ack nothing while still replaying its durable prefix. Sketch
-  // payloads are decoded once here and the decoded sketches reused for
-  // the merge below — deserialization is the expensive part of a merge
-  // record, and this path is the committer's (single-writer) hot loop.
-  std::vector<DDSketch> decoded;
-  decoded.reserve(records.size());
-  for (const WalRecord& record : records) {
-    switch (record.type) {
-      case WalRecord::Type::kIngestSketch: {
-        auto sketch = DDSketch::Deserialize(record.payload);
-        if (!sketch.ok()) return sketch.status();
-        DD_RETURN_IF_ERROR(store_.CheckCompatible(sketch.value()));
-        decoded.push_back(std::move(sketch).value());
-        break;
-      }
-      case WalRecord::Type::kIngestValue:
-        break;
-      default:
-        return Status::Corruption("unknown WAL record type");
-    }
-  }
-  const uint64_t batch_start = wal_.offset();
-  Status status;
-  for (const WalRecord& record : records) {
-    status = wal_.Append(record);
-    if (!status.ok()) break;
-  }
-  if (status.ok()) {
-    status = wal_.Sync();  // the one flush the batch shares
-  }
+  std::string framed;
+  for (const WalRecord& record : records) framed += EncodeWalRecord(record);
+  return Commit(records, framed);
+}
+
+Status DurableSketchStore::Commit(std::span<const WalRecord> records,
+                                  std::string_view framed) {
+  std::vector<DDSketch> sketches;
+  DD_RETURN_IF_ERROR(DecodeRecords(store_, records, &sketches));
+  const uint64_t start = wal_.offset();
+  Status status = wal_.AppendRaw(framed);
+  if (status.ok()) status = wal_.Sync();
   if (!status.ok()) {
-    // A partial append (e.g. ENOSPC mid-record) leaves a torn frame in
-    // the middle of the log; anything appended after it would be
-    // silently dropped by recovery's torn-tail scan. Truncate back to
-    // the batch start so the log stays clean for future commits; if
-    // even that fails, escalate — the log must not be appended to
-    // again (SketchServer fail-stops its ingest path on any error).
-    if (Status repair = wal_.TruncateTo(batch_start); !repair.ok()) {
+    // A partial append (e.g. ENOSPC or EFBIG mid-record) leaves a torn
+    // frame in the middle of the log; anything appended after it would
+    // be silently dropped by recovery's torn-tail scan. Truncate back to
+    // where this commit started so the log stays clean for the next
+    // one; if even that fails, escalate — the log must not be appended
+    // to again (SketchServer fail-stops its ingest path on any error).
+    if (Status repair = wal_.TruncateTo(start); !repair.ok()) {
       return Status::Internal(
-          "WAL left torn after failed batch commit (" + status.ToString() +
+          "WAL left torn after failed commit (" + status.ToString() +
           "); truncate failed: " + repair.message());
     }
     return status;
   }
-  // Merge phase. Value records are the committer's common case and a
-  // batch is typically one client's burst into one series, so runs of
-  // consecutive kIngestValue records sharing a series and raw interval
-  // collapse into a single IngestValues call — one interval lookup and
-  // one DDSketch::AddBatch pass instead of a lookup + virtual add per
-  // record. Record order within the batch is preserved (sketch merges
-  // are order-independent anyway, but the WAL replay path applies the
-  // same sequence).
-  std::vector<double> run_values;
-  size_t next_decoded = 0;
-  for (size_t i = 0; i < records.size();) {
-    const WalRecord& record = records[i];
-    if (record.type == WalRecord::Type::kIngestSketch) {
-      DD_RETURN_IF_ERROR(store_.IngestSketch(record.series, record.timestamp,
-                                             decoded[next_decoded++]));
-      ++i;
-      continue;
-    }
-    const int64_t interval = store_.RawStart(record.timestamp);
-    run_values.clear();
-    size_t j = i;
-    for (; j < records.size(); ++j) {
-      const WalRecord& next = records[j];
-      if (next.type != WalRecord::Type::kIngestValue ||
-          next.series != record.series ||
-          store_.RawStart(next.timestamp) != interval) {
-        break;
-      }
-      run_values.push_back(next.value);
-    }
-    DD_RETURN_IF_ERROR(
-        store_.IngestValues(record.series, record.timestamp, run_values));
-    i = j;
-  }
-  return Status::OK();
+  return MergeRecords(&store_, records, sketches);
 }
 
 Status DurableSketchStore::CheckpointUnguarded() {
@@ -369,8 +365,6 @@ Result<size_t> DurableSketchStore::Compact(int64_t now) {
   DD_RETURN_IF_ERROR(CheckpointUnguarded());
   return compacted;
 }
-
-Status DurableSketchStore::Sync() { return wal_.Sync(); }
 
 Status DurableSketchStore::CheckWritable() const {
   if (role_ == StoreRole::kFollower) {
@@ -506,15 +500,7 @@ Status DurableSketchStore::ApplyReplicatedSegment(uint64_t epoch,
   }
   auto records = DecodeWalSegment(bytes);
   if (!records.ok()) return records.status();
-  for (const WalRecord& record : records.value()) {
-    DD_RETURN_IF_ERROR(ValidateRecord(record));
-  }
-  DD_RETURN_IF_ERROR(wal_.AppendRaw(bytes));
-  DD_RETURN_IF_ERROR(wal_.Sync());
-  for (const WalRecord& record : records.value()) {
-    DD_RETURN_IF_ERROR(Apply(&store_, record));
-  }
-  return Status::OK();
+  return Commit(records.value(), bytes);
 }
 
 }  // namespace dd

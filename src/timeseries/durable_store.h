@@ -5,9 +5,14 @@
 //   <dir>/snapshot.dds  last checkpointed full state (timeseries/snapshot.h)
 //   <dir>/LOCK          flock'd while a store is open (single writer)
 //
-// Write path: every acknowledged ingest is validated, appended to the
-// WAL (and optionally fsynced), and only then merged into the in-memory
-// store — an OK return means the record replays on the next Open().
+// Write path: one for every durable write. A batch of records (a
+// group commit, a single ingest, or a follower's replicated segment) is
+// validated, appended to the WAL in one write, fsynced once, and only
+// then merged into the in-memory store — an OK return means the records
+// replay on the next Open(), even after power loss. A failed append or
+// fsync truncates the log back to where the batch started. Recovery
+// replays the log through the same merge, so the live store, a reopened
+// one and a follower hold byte-identical state.
 //
 // Recovery protocol (Open): a fresh directory is initialized with an
 // empty epoch-0 snapshot, pinning the store options so every later Open
@@ -34,6 +39,7 @@
 #define DDSKETCH_TIMESERIES_DURABLE_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,11 +58,6 @@ enum class StoreRole {
 
 struct DurableSketchStoreOptions {
   SketchStoreOptions store;
-  /// fsync the WAL on every ingest. Off by default: appends still reach
-  /// the OS before the ingest is acknowledged (process-crash safe);
-  /// turning this on makes each ingest power-loss safe at ~1 disk flush
-  /// per record.
-  bool sync_every_ingest = false;
   /// kFollower opens the directory in applier mode: the lock is still
   /// taken (two appliers on one directory would race too), but the
   /// public write API (Ingest*/Checkpoint/Compact) refuses with FENCED —
@@ -78,12 +79,13 @@ class DurableSketchStore {
   static Result<DurableSketchStore> Open(
       const std::string& data_dir, const DurableSketchStoreOptions& options);
 
-  /// Logs and merges a serialized worker sketch. The record is on disk
-  /// when this returns OK.
+  /// Logs and merges a serialized worker sketch: a one-record
+  /// IngestBatch, so OK means fsynced.
   Status Ingest(const std::string& series, int64_t timestamp,
                 std::string_view payload);
 
-  /// Logs and merges a single value.
+  /// Logs and merges a single value: a one-record IngestBatch, so OK
+  /// means fsynced.
   Status IngestValue(const std::string& series, int64_t timestamp,
                      double value);
 
@@ -94,19 +96,17 @@ class DurableSketchStore {
   /// record can never poison a batch.
   Status ValidateRecord(const WalRecord& record) const;
 
-  /// Group commit: appends every record to the WAL, fsyncs ONCE, then
-  /// merges all of them into the in-memory store — N acknowledged
-  /// ingests for a single disk flush. All records are re-validated
-  /// before the first byte reaches the log, so a bad record fails the
-  /// whole batch with nothing written. Unlike Ingest/IngestValue, the
-  /// batch always fsyncs (ignoring sync_every_ingest): callers use this
-  /// to acknowledge remote clients, and an acknowledgment promises
-  /// power-loss durability. An OK return means every record in the
-  /// batch replays on the next Open(). On an append/fsync failure the
-  /// log is truncated back to the batch start (nothing from the batch
-  /// replays); if even that repair fails the log is torn mid-file and
-  /// the error says so — callers must stop appending (a torn frame
-  /// would make recovery silently drop everything after it).
+  /// Group commit: appends every record to the WAL in one write, fsyncs
+  /// ONCE, then merges all of them into the in-memory store — N
+  /// acknowledged ingests for a single disk flush. All records are
+  /// re-validated before the first byte reaches the log, so a bad record
+  /// fails the whole batch with nothing written. An OK return means
+  /// every record in the batch replays on the next Open(), even after
+  /// power loss. On an append/fsync failure the log is truncated back
+  /// to the batch start (nothing from the batch replays); if even that
+  /// repair fails the log is torn mid-file and the error says so —
+  /// callers must stop appending (a torn frame would make recovery
+  /// silently drop everything after it).
   Status IngestBatch(const std::vector<WalRecord>& records);
 
   /// Explicitly ages the ladder (SketchStore::Compact, with `now`
@@ -124,9 +124,6 @@ class DurableSketchStore {
   /// and a replication follower crossing the boundary folds its own
   /// identical raw state to the identical ladder.
   Status Checkpoint();
-
-  /// fsync the WAL (batch durability when sync_every_ingest is off).
-  Status Sync();
 
   // --- Replication + fencing (server/replication.h, PROTOCOL.md v5) ---
   //
@@ -198,12 +195,13 @@ class DurableSketchStore {
                                    uint64_t wal_epoch);
 
   /// Follower-side incremental apply of a shipped WAL segment. A
-  /// segment at (wal epoch, wal_offset()) extends the log — append raw,
-  /// fsync, merge into memory. One at (epoch + 1, kWalHeaderBytes)
-  /// means the primary checkpointed: the follower runs its own
-  /// checkpoint first (keeping the directories epoch-aligned), then
-  /// applies. Any other position fails with OutOfRange — the follower
-  /// must resync from a snapshot.
+  /// segment at (wal epoch, wal_offset()) extends the log through the
+  /// same commit as IngestBatch — validate, append the shipped bytes
+  /// verbatim, fsync, merge — minus the writability gate. One at
+  /// (epoch + 1, kWalHeaderBytes) means the primary checkpointed: the
+  /// follower runs its own checkpoint first (keeping the directories
+  /// epoch-aligned), then applies. Any other position fails with
+  /// OutOfRange — the follower must resync from a snapshot.
   Status ApplyReplicatedSegment(uint64_t epoch, uint64_t start_offset,
                                 std::string_view bytes);
 
@@ -270,7 +268,12 @@ class DurableSketchStore {
         store_(std::move(store)),
         wal_(std::move(wal)) {}
 
-  Status Append(const WalRecord& record);
+  /// The one guarded append behind every durable write: validates
+  /// `records` (decoding each sketch payload once), appends `framed` —
+  /// their encoded frames — in one write, fsyncs once, then merges. On
+  /// an append or fsync failure the log is truncated back to where it
+  /// started. Takes no writability gate (the follower's apply uses it).
+  Status Commit(std::span<const WalRecord> records, std::string_view framed);
   /// FENCED when writes_fenced(); the gate on every public write path.
   Status CheckWritable() const;
   /// Checkpoint without the writability gate (the follower's own

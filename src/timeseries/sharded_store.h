@@ -81,7 +81,7 @@ class ShardedDurableStore {
   DurableSketchStore& shard(size_t k) { return *shards_[k]; }
   const DurableSketchStore& shard(size_t k) const { return *shards_[k]; }
 
-  // Routed single-record ingest (CLI and tests; the server batches
+  // Routed single-record ingest (tests; the CLI and the server batch
   // per shard via shard(k).IngestBatch instead).
   Status Ingest(const std::string& series, int64_t timestamp,
                 std::string_view payload) {

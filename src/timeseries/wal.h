@@ -129,9 +129,10 @@ class WalWriter {
 
   Status Append(const WalRecord& record);
 
-  /// Appends already-framed record bytes verbatim (a replicated WAL
-  /// segment). The caller must have validated them with DecodeWalSegment
-  /// first — the log must only ever contain records that replay cleanly.
+  /// Appends already-framed record bytes verbatim, in one write (a group
+  /// commit's frames, or a replicated WAL segment). The caller must have
+  /// validated the records first — the log must only ever contain
+  /// records that replay cleanly.
   Status AppendRaw(std::string_view framed_records);
 
   /// fsync. Call after Append (or a batch) for power-loss durability.
@@ -141,9 +142,9 @@ class WalWriter {
   Status Reset(uint64_t epoch);
 
   /// Truncates back to `offset` (a record boundary captured from
-  /// offset() before a batch of appends). Repairs the log after a
-  /// failed multi-record append so later appends cannot land behind a
-  /// torn frame, where recovery's torn-tail scan would discard them.
+  /// offset() before an append). Repairs the log after a failed
+  /// append so later appends cannot land behind a torn frame, where
+  /// recovery's torn-tail scan would discard them.
   Status TruncateTo(uint64_t offset);
 
   /// Current file size; record boundaries (offset after each Append) are

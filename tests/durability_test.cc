@@ -11,12 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "core/ddsketch.h"
 #include "timeseries/snapshot.h"
@@ -74,6 +77,63 @@ class DurabilityTest : public ::testing::Test {
       sketch.Add(static_cast<double>((seed * 13 + i * 7) % 997) + 0.5);
     }
     return sketch.Serialize();
+  }
+
+  static uint64_t WalFileSize(const std::string& dir) {
+    return fs::file_size(DurableSketchStore::WalPath(dir));
+  }
+
+  /// Runs `write` as if the disk filled up a few bytes into the WAL's
+  /// next record: the process file-size limit sits just past the log's
+  /// current size (with SIGXFSZ ignored, a write beyond it fails with
+  /// EFBIG after writing what fits). The limit and the handler are
+  /// restored right after the call.
+  template <typename Write>
+  static Status WithWalCapped(const std::string& dir, Write write) {
+    struct rlimit saved;
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    struct rlimit capped = saved;
+    capped.rlim_cur = WalFileSize(dir) + 5;
+    const auto handler = std::signal(SIGXFSZ, SIG_IGN);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const Status status = write();
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, handler);
+    return status;
+  }
+
+  /// A group-commit batch whose sum only an in-order merge reproduces:
+  /// one run of 64 fractional values into one interval, then worker
+  /// sketches into the same interval and another series.
+  static std::vector<WalRecord> FractionalBatch() {
+    std::vector<WalRecord> records;
+    for (int i = 0; i < 64; ++i) {
+      WalRecord record;
+      record.type = WalRecord::Type::kIngestValue;
+      record.series = "api.latency";
+      record.timestamp = 5;
+      record.value = 0.1 * (i + 1) + 1.0 / 3.0;
+      records.push_back(std::move(record));
+    }
+    for (int i = 0; i < 4; ++i) {
+      WalRecord record;
+      record.type = WalRecord::Type::kIngestSketch;
+      record.series = (i % 2 == 0) ? "api.latency" : "db.latency";
+      record.timestamp = 5;
+      record.payload = WorkerPayload(i);
+      records.push_back(std::move(record));
+    }
+    return records;
+  }
+
+  static DurableSketchStoreOptions FollowerOptions() {
+    DurableSketchStoreOptions options = Options();
+    options.role = StoreRole::kFollower;
+    return options;
+  }
+
+  static std::string SnapshotBytes(const DurableSketchStore& store) {
+    return EncodeSnapshot(store.store(), store.epoch());
   }
 
   /// Byte-exact fingerprint of a store's full queryable state: every
@@ -496,18 +556,25 @@ TEST_F(DurabilityTest, GroupCommitBatchIsOneFsync) {
     }
     records.push_back(std::move(record));
   }
-  const uint64_t fsyncs_before = TotalFsyncCount();
+  uint64_t fsyncs_before = TotalFsyncCount();
   ASSERT_TRUE(store.IngestBatch(records).ok());
   // 64 acknowledged ingests, exactly one flush.
   EXPECT_EQ(TotalFsyncCount() - fsyncs_before, 1u);
-  // The batch is both queryable and fully applied in-memory.
-  EXPECT_EQ(store.store().num_series(), 2u);
+  // A single ingest is a batch of one: acknowledged means flushed.
+  fsyncs_before = TotalFsyncCount();
+  ASSERT_TRUE(store.IngestValue("solo.value", 0, 2.5).ok());
+  EXPECT_EQ(TotalFsyncCount() - fsyncs_before, 1u);
+  fsyncs_before = TotalFsyncCount();
+  ASSERT_TRUE(store.Ingest("solo.sketch", 0, WorkerPayload(99)).ok());
+  EXPECT_EQ(TotalFsyncCount() - fsyncs_before, 1u);
+  // Every record is both queryable and fully applied in-memory.
+  EXPECT_EQ(store.store().num_series(), 4u);
   uint64_t total = 0;
   for (const std::string& name : store.store().ListSeries()) {
     total += std::move(store.QueryRange(name, -1000, 1000)).value().count();
   }
-  // 48 raw values + 16 worker sketches of 5 values each.
-  EXPECT_EQ(total, 48u + 16u * 5u);
+  // 48 + 1 raw values + 16 + 1 worker sketches of 5 values each.
+  EXPECT_EQ(total, 49u + 17u * 5u);
 }
 
 TEST_F(DurabilityTest, GroupCommitBatchRejectsBadRecordBeforeLogging) {
@@ -604,14 +671,99 @@ TEST_F(DurabilityTest, GroupCommitCrashMidBatchRecoversExactPrefix) {
   }
 }
 
-TEST_F(DurabilityTest, SyncEveryIngestModeWorks) {
-  const std::string dir = Dir("sync");
-  DurableSketchStoreOptions options = Options();
-  options.sync_every_ingest = true;
-  auto opened = DurableSketchStore::Open(dir, options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  ASSERT_TRUE(opened.value().IngestValue("s", 0, 1.0).ok());
-  ASSERT_TRUE(opened.value().Sync().ok());
+TEST_F(DurabilityTest, FailedAppendIsTruncatedOnEveryPrimaryWritePath) {
+  // A disk that fills up mid-record must not leave a torn frame behind:
+  // the next acknowledged write would land after it, where recovery's
+  // torn-tail scan (or its checksum check) would lose it.
+  const std::string dir = Dir("diskfull");
+  auto ref = std::move(SketchStore::Create(Options().store)).value();
+  const std::vector<WalRecord> batch = FractionalBatch();
+  {
+    DurableSketchStore store = MustOpen(dir);
+    ASSERT_TRUE(store.IngestValue("s", 5, 1.5).ok());
+    ASSERT_TRUE(ref.IngestValue("s", 5, 1.5).ok());
+
+    EXPECT_FALSE(
+        WithWalCapped(dir, [&] { return store.IngestValue("s", 5, 2.5); })
+            .ok());
+    EXPECT_EQ(WalFileSize(dir), store.wal_offset());
+    ASSERT_TRUE(store.IngestValue("s", 5, 3.5).ok());
+    ASSERT_TRUE(ref.IngestValue("s", 5, 3.5).ok());
+
+    EXPECT_FALSE(
+        WithWalCapped(dir, [&] { return store.IngestBatch(batch); }).ok());
+    EXPECT_EQ(WalFileSize(dir), store.wal_offset());
+    ASSERT_TRUE(store.IngestBatch(batch).ok());
+    for (const WalRecord& record : batch) {
+      if (record.type == WalRecord::Type::kIngestSketch) {
+        ASSERT_TRUE(
+            ref.Ingest(record.series, record.timestamp, record.payload).ok());
+      } else {
+        ASSERT_TRUE(
+            ref.IngestValue(record.series, record.timestamp, record.value)
+                .ok());
+      }
+    }
+    EXPECT_EQ(WalFileSize(dir), store.wal_offset());
+  }
+  // Exactly the acknowledged records, nothing from the failed writes.
+  auto reopened = DurableSketchStore::Open(dir, Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(Fingerprint(reopened.value().store()), Fingerprint(ref));
+}
+
+TEST_F(DurabilityTest, FailedReplicatedApplyIsTruncated) {
+  const std::string primary_dir = Dir("primary");
+  const std::string follower_dir = Dir("follower");
+  DurableSketchStore primary = MustOpen(primary_dir);
+  ASSERT_TRUE(primary.IngestBatch(FractionalBatch()).ok());
+  auto segment = primary.ReadWalChunk(kWalHeaderBytes, 1 << 20);
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  {
+    auto opened = DurableSketchStore::Open(follower_dir, FollowerOptions());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DurableSketchStore& follower = opened.value();
+    const auto apply = [&] {
+      return follower.ApplyReplicatedSegment(primary.epoch(), kWalHeaderBytes,
+                                             segment.value());
+    };
+    EXPECT_FALSE(WithWalCapped(follower_dir, apply).ok());
+    EXPECT_EQ(WalFileSize(follower_dir), follower.wal_offset());
+    EXPECT_EQ(follower.wal_offset(), kWalHeaderBytes);
+    // The primary re-ships the same segment; acking it must be safe.
+    ASSERT_TRUE(apply().ok());
+    EXPECT_EQ(follower.wal_offset(), primary.wal_offset());
+  }
+  auto reopened = DurableSketchStore::Open(follower_dir, FollowerOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(SnapshotBytes(reopened.value()), SnapshotBytes(primary));
+}
+
+TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {
+  // Full mergeability makes the three routes to a store's state — the
+  // live group commit, WAL replay on reopen, and a follower applying
+  // the shipped bytes — agree exactly, down to the serialized sum.
+  const std::string dir = Dir("identity");
+  const std::string follower_dir = Dir("identity_follower");
+  std::string live;
+  std::string shipped;
+  {
+    DurableSketchStore primary = MustOpen(dir);
+    ASSERT_TRUE(primary.IngestBatch(FractionalBatch()).ok());
+    live = SnapshotBytes(primary);
+    auto segment = primary.ReadWalChunk(kWalHeaderBytes, 1 << 20);
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    shipped = std::move(segment).value();
+  }
+  auto reopened = DurableSketchStore::Open(dir, Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(SnapshotBytes(reopened.value()), live);
+  auto follower = DurableSketchStore::Open(follower_dir, FollowerOptions());
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  ASSERT_TRUE(
+      follower.value().ApplyReplicatedSegment(1, kWalHeaderBytes, shipped)
+          .ok());
+  EXPECT_EQ(SnapshotBytes(follower.value()), live);
 }
 
 }  // namespace

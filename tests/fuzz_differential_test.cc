@@ -926,8 +926,10 @@ TEST(FuzzProtocolV7TruncationTest, EveryBodyTruncationIsCorruption) {
   }
   // Same for the SET_TAG request body on the request decoder.
   {
+    // DecodeFrame returns a view into its argument: keep the frame alive.
+    const std::string frame = SetTagRequestFrame();
     size_t frame_size = 0;
-    auto body = DecodeFrame(SetTagRequestFrame(), &frame_size);
+    auto body = DecodeFrame(frame, &frame_size);
     ASSERT_TRUE(body.ok());
     const std::string original(body.value());
     for (size_t cut = 0; cut < original.size(); ++cut) {

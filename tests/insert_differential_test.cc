@@ -6,16 +6,14 @@
 // MergeFrom — including clamped magnitudes, sub-min-indexable values,
 // NaN/inf rejects, negatives, and collapse-inducing spreads.
 //
-// Bucket contents are compared exactly; sum() only up to floating-point
-// rounding, because the batch path reduces it with interleaved
-// accumulators (a different association order than sequential adds, which
-// is all MergeFrom ever promised for sums anyway).
+// Bucket contents are compared exactly, and so is every finite sum():
+// the batch path sums in input order, so a batch and the same values
+// added one at a time round identically.
 
 #include "core/ddsketch.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -53,14 +51,11 @@ void ExpectIdentical(const DDSketch& fast, const DDSketch& ref,
       << where;
   ASSERT_EQ(Buckets(fast.negative_store()), Buckets(ref.negative_store()))
       << where;
-  // Near-DBL_MAX inputs (the clamp regime) overflow the running sum in
-  // both paths; once either side has left the finite range the two
-  // reassociated reductions may land on different non-finite garbage, so
-  // only the finite case is comparable.
+  // Near-DBL_MAX inputs (the clamp regime) overflow the running sum to
+  // +/-inf or NaN, and NaN never compares equal, so a non-finite sum is
+  // compared by finiteness only.
   if (std::isfinite(fast.sum()) && std::isfinite(ref.sum())) {
-    const double tolerance =
-        1e-9 * std::max({1.0, std::abs(fast.sum()), std::abs(ref.sum())});
-    ASSERT_NEAR(fast.sum(), ref.sum(), tolerance) << where;
+    ASSERT_EQ(fast.sum(), ref.sum()) << where;
   } else {
     ASSERT_EQ(std::isfinite(fast.sum()), std::isfinite(ref.sum())) << where;
   }
@@ -193,6 +188,20 @@ TEST(InsertDifferentialTest, BatchEqualsScalarAdds) {
   batched.AddBatch(values);
   for (double v : values) scalar.Add(v);
   ExpectIdentical(batched, scalar, "batch-vs-scalar");
+
+  // The input above overflows sum() to +/-inf or NaN. Finite fractional
+  // values keep it finite, where only an in-order sum rounds the same
+  // as the scalar loop, down to the serialized bytes.
+  DDSketch fractional_batched = MakeSketch(config, false);
+  DDSketch fractional_scalar = MakeSketch(config, false);
+  std::vector<double> fractional;
+  for (int i = 0; i < 2000; ++i) {
+    fractional.push_back(0.1 * (i + 1) + 1.0 / 3.0);
+  }
+  fractional_batched.AddBatch(fractional);
+  for (double v : fractional) fractional_scalar.Add(v);
+  ExpectIdentical(fractional_batched, fractional_scalar, "fractional");
+  EXPECT_EQ(fractional_batched.Serialize(), fractional_scalar.Serialize());
 }
 
 }  // namespace

@@ -351,10 +351,11 @@ TEST_F(ShardedStoreTest, SigkillMidIngestRecoversShardPrefixes) {
       // Identical per-series input in identical order: the recovered
       // shard sketch is bucket-identical to the unsharded reference.
       EXPECT_EQ(sharded_q, reference_q) << name << " q=" << q;
-      // And the paper's guarantee holds against exact order statistics.
+      // And the paper's guarantee holds against the exact order
+      // statistic it defines: rank floor(q(n-1)), 0-indexed.
       const double exact =
           values[std::min(values.size() - 1,
-                          static_cast<size_t>(q * (values.size() - 1) + 0.5))];
+                          static_cast<size_t>(q * (values.size() - 1)))];
       EXPECT_LE(std::abs(sharded_q - exact) / exact, kBound + 1e-9)
           << name << " q=" << q;
     }

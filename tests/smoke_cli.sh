@@ -24,10 +24,15 @@ trap 'rm -rf "$WORK"' EXIT
 "$CLI" merge "$WORK/merged.dds" "$WORK/a.dds" "$WORK/b.dds"
 "$CLI" query "$WORK/merged.dds" 0.5 > /dev/null
 
-# Durable time-series flow: ingest into a data dir, query it back, survive
-# a reopen (fresh process), compact, and query the same answer again.
-head -1000 "$WORK/values.txt" | "$CLI" ingest --data-dir "$WORK/ts" --series svc --timestamp 100
+# Durable time-series flow: ingest into a data dir (10000 values: three
+# 4096-value commit windows), query it back, survive a reopen (fresh
+# process), compact, and query the same answer again. The durable answer
+# must be the one the in-memory sketch of the same values gives.
+"$CLI" ingest --data-dir "$WORK/ts" --series svc --timestamp 100 < "$WORK/values.txt"
 [ -f "$WORK/ts/wal.log" ]
+"$CLI" query --data-dir "$WORK/ts" --series svc --start 0 --end 200 > "$WORK/d0.txt"
+"$CLI" query "$WORK/a.dds" > "$WORK/s0.txt"
+cmp "$WORK/d0.txt" "$WORK/s0.txt"
 "$CLI" query --data-dir "$WORK/ts" --series svc --start 0 --end 200 0.5 > "$WORK/d1.txt"
 [ -s "$WORK/d1.txt" ]
 "$CLI" compact --data-dir "$WORK/ts" --now 100000

@@ -20,10 +20,11 @@
 // route by the same stable series hash sketchd uses; legacy flat
 // directories keep working unchanged:
 //   ddsketch_cli ingest --data-dir DIR --series NAME [--timestamp T]
-//                       [--alpha A] [--sync] [--shards N] < values.txt
+//                       [--alpha A] [--shards N] < values.txt
 //       Reads "value" or "timestamp value" lines from stdin and ingests
-//       them durably (plain values land at --timestamp, default 0).
-//       --shards N creates a fresh directory with N shards.
+//       them durably (plain values land at --timestamp, default 0), one
+//       fsync per 4096-line window. --shards N creates a fresh directory
+//       with N shards.
 //   ddsketch_cli query --data-dir DIR --series NAME --start S --end E
 //                      [--alpha A] [q1 q2 ...]
 //       Quantiles of the merged sketch over [S, E).
@@ -96,7 +97,7 @@ int Usage() {
       "  ddsketch_cli generate DATASET N [SEED]\n"
       "durable time-series mode (sharded dirs auto-detected):\n"
       "  ddsketch_cli ingest --data-dir DIR --series NAME [--timestamp T]\n"
-      "                      [--alpha A] [--sync] [--shards N]\n"
+      "                      [--alpha A] [--shards N]\n"
       "                      (values on stdin)\n"
       "  ddsketch_cli query --data-dir DIR --series NAME --start S --end E\n"
       "                      [--alpha A] [q1 q2 ...]\n"
@@ -248,7 +249,6 @@ struct DurableArgs {
   int64_t now = 0;
   bool now_given = false;
   double alpha = 0.01;
-  bool sync = false;
   size_t shards = 0;  // 0 = auto-detect the directory's layout
   std::vector<std::string> extra;
 };
@@ -278,8 +278,6 @@ bool ParseDurableArgs(int argc, char** argv, DurableArgs* out,
       out->alpha = std::strtod(argv[++i], nullptr);
     } else if (arg == "--shards" && i + 1 < argc) {
       out->shards = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--sync") {
-      out->sync = true;
     } else if (!arg.empty() && arg[0] == '-') {
       Fail("unknown option: " + arg);
       return false;
@@ -334,7 +332,6 @@ bool ParseIngestLine(const std::string& line, int64_t default_timestamp,
 dd::Result<dd::ShardedDurableStore> OpenDurable(const DurableArgs& args) {
   dd::ShardedDurableStoreOptions options;
   options.durable.store.sketch.relative_accuracy = args.alpha;
-  options.durable.sync_every_ingest = args.sync;
   // 0 auto-detects: a SHARDS manifest routes by the shard hash, a legacy
   // flat directory opens in place, a fresh directory is single-shard
   // (unless --shards asked for more).
@@ -349,30 +346,45 @@ int CmdIngest(int argc, char** argv) {
   auto opened = OpenDurable(args);
   if (!opened.ok()) return Fail(opened.status().ToString());
   dd::ShardedDurableStore store = std::move(opened).value();
+  dd::DurableSketchStore& shard = store.shard(store.ShardOf(args.series));
 
+  // Commit in bounded windows, as remote-ingest streams them: memory
+  // stays O(window) however large the pipe, and each window is one
+  // group commit (one write, one fsync).
+  constexpr size_t kWindow = 4096;
+  std::vector<dd::WalRecord> window;
+  window.reserve(kWindow);
   std::string line;
   uint64_t ingested = 0, bad = 0;
+  auto flush = [&] {
+    const dd::Status s = shard.IngestBatch(window);
+    window.clear();
+    return s;
+  };
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
-    int64_t ts = 0;
-    double value = 0;
-    if (!ParseIngestLine(line, args.timestamp, &ts, &value)) {
+    dd::WalRecord record;
+    record.type = dd::WalRecord::Type::kIngestValue;
+    record.series = args.series;
+    if (!ParseIngestLine(line, args.timestamp, &record.timestamp,
+                         &record.value)) {
       ++bad;
       continue;
     }
-    if (dd::Status s = store.IngestValue(args.series, ts, value); !s.ok()) {
-      return Fail(s.ToString());
-    }
+    window.push_back(std::move(record));
     ++ingested;
+    if (window.size() >= kWindow) {
+      if (dd::Status s = flush(); !s.ok()) return Fail(s.ToString());
+    }
   }
+  if (dd::Status s = flush(); !s.ok()) return Fail(s.ToString());
   std::fprintf(stderr,
                "ingested %llu values into %s (%llu unparseable lines), "
                "shard %zu/%zu wal at %llu bytes\n",
                static_cast<unsigned long long>(ingested), args.series.c_str(),
                static_cast<unsigned long long>(bad),
                store.ShardOf(args.series), store.num_shards(),
-               static_cast<unsigned long long>(
-                   store.shard(store.ShardOf(args.series)).wal_offset()));
+               static_cast<unsigned long long>(shard.wal_offset()));
   return 0;
 }
 
