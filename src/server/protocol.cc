@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <cstdio>
 #include <cstring>
 
 #include "util/crc32.h"
@@ -95,7 +96,210 @@ Status GetPositions(Slice* in,
   return Status::OK();
 }
 
+// The STATS payload's fields, written down once. VisitStats walks every
+// StoreStats field in wire order under its `remote-stats` name: twelve
+// scalars, the op-latency and shard rows, eight replication scalars,
+// then the level and tag rows (each protocol version appended its
+// fields after the last, so earlier byte prefixes never moved).
+//
+// A visitor provides Field(name, value) for uint64_t (varint), double
+// (fixed64) and std::string (length-prefixed) fields, Role(name, value)
+// for the role scalar, Key(key) for a row key that is not on the wire,
+// and Rows(kind, rows, each_row), which walks each row as
+// each_row(r, row, index) with a row visitor r. A row's first item is
+// its key. The visitors are StatsEncoder, StatsDecoder, StatsPrinter
+// and, for the decoder's overrun guard, MinRowBytes.
+template <typename S, typename V>
+void VisitStats(S& s, V& v) {
+  v.Field("series", s.num_series);
+  v.Field("intervals", s.num_intervals);
+  v.Field("bytes", s.size_in_bytes);
+  v.Field("wal_bytes", s.wal_offset);
+  v.Field("epoch", s.epoch);
+  v.Field("batch_commits", s.batch_commits);
+  v.Field("background_checkpoints", s.background_checkpoints);
+  v.Field("connections_open", s.connections_open);
+  v.Field("connections_accepted", s.connections_accepted);
+  v.Field("connections_shed", s.connections_shed);
+  v.Field("busy_rejections", s.busy_rejections);
+  v.Field("staged_bytes", s.staged_bytes);
+  v.Rows("op_latency", s.op_latencies, [](auto& r, auto& row, size_t i) {
+    r.Key(LatencyOpName(static_cast<LatencyOp>(i)));
+    r.Field("count", row.count);
+    r.Field("p50_us", row.p50_us);
+    r.Field("p90_us", row.p90_us);
+    r.Field("p99_us", row.p99_us);
+    r.Field("p999_us", row.p999_us);
+    r.Field("max_us", row.max_us);
+  });
+  v.Rows("shard", s.shards, [](auto& r, auto& row, size_t) {
+    r.Field("shard", row.shard);
+    r.Field("series", row.num_series);
+    r.Field("wal_bytes", row.wal_bytes);
+    r.Field("epoch", row.epoch);
+    r.Field("commits", row.batch_commits);
+    r.Field("bg_checkpoints", row.background_checkpoints);
+  });
+  v.Role("role", s.role);
+  v.Field("fence_token", s.fence_token);
+  v.Field("fenced", s.fenced);
+  v.Field("repl_subscribers", s.repl_subscribers);
+  v.Field("repl_shipped_bytes", s.repl_shipped_bytes);
+  v.Field("repl_applied_bytes", s.repl_applied_bytes);
+  v.Field("repl_connected", s.repl_connected);
+  v.Field("repl_heartbeat_age_ms", s.repl_heartbeat_age_ms);
+  v.Rows("level", s.levels, [](auto& r, auto& row, size_t i) {
+    r.Key(i);
+    r.Field("interval_s", row.interval_seconds);
+    r.Field("retention_s", row.retention_seconds);
+    r.Field("intervals", row.num_intervals);
+    r.Field("rollup_merges", row.rollup_merges);
+    r.Field("bytes", row.retained_bytes);
+  });
+  v.Rows("tag", s.tags, [](auto& r, auto& row, size_t) {
+    r.Field("tag", row.tag);
+    r.Field("floor_bytes", row.floor_bytes);
+    r.Field("budget_bytes", row.budget_bytes);
+    r.Field("staged_bytes", row.staged_bytes);
+    r.Field("busy_rejections", row.busy_rejections);
+    r.Field("share_permille", row.throttle_permille);
+    r.Field("count", row.count);
+    r.Field("p50_us", row.p50_us);
+    r.Field("p99_us", row.p99_us);
+    r.Field("p999_us", row.p999_us);
+  });
+}
+
+/// Appends each field in its wire encoding; a row list is its count,
+/// then its rows.
+struct StatsEncoder {
+  std::string* out;
+  void Field(const char*, uint64_t value) { PutVarint64(out, value); }
+  void Field(const char*, double value) { PutFixedDouble(out, value); }
+  void Field(const char*, const std::string& value) {
+    PutLengthPrefixed(out, value);
+  }
+  void Role(const char* name, uint64_t value) { Field(name, value); }
+  template <typename K>
+  void Key(const K&) {}
+  template <typename R, typename F>
+  void Rows(const char*, const R& rows, F each_row) {
+    PutVarint64(out, rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) each_row(*this, rows[i], i);
+  }
+};
+
+/// The fewest wire bytes a row can take: one per varint or length
+/// prefix, eight per double.
+struct MinRowBytes {
+  size_t bytes = 0;
+  void Field(const char*, uint64_t) { bytes += 1; }
+  void Field(const char*, double) { bytes += sizeof(double); }
+  void Field(const char*, const std::string&) { bytes += 1; }
+  template <typename K>
+  void Key(const K&) {}
+};
+
+/// The first failed read sticks; every later read is a no-op.
+struct StatsDecoder {
+  Slice* in;
+  Status status = Status::OK();
+  void Field(const char*, uint64_t& value) {
+    if (status.ok()) status = in->GetVarint64(&value);
+  }
+  void Field(const char*, double& value) {
+    if (status.ok()) status = in->GetFixedDouble(&value);
+  }
+  void Field(const char*, std::string& value) {
+    if (status.ok()) status = GetLengthPrefixed(in, &value);
+  }
+  void Role(const char* name, uint64_t& value) { Field(name, value); }
+  template <typename K>
+  void Key(const K&) {}
+  // One row per LatencyOp: any other count means the peer's op set
+  // diverged from ours.
+  template <typename T, size_t N, typename F>
+  void Rows(const char*, std::array<T, N>& rows, F each_row) {
+    uint64_t n = 0;
+    Field(nullptr, n);
+    if (status.ok() && n != N) {
+      status = Status::Corruption("unexpected latency row count");
+    }
+    for (size_t i = 0; i < N; ++i) each_row(*this, rows[i], i);
+  }
+  template <typename T, typename F>
+  void Rows(const char* kind, std::vector<T>& rows, F each_row) {
+    uint64_t n = 0;
+    Field(nullptr, n);
+    // A count the frame cannot possibly hold is corruption, not an
+    // allocation request.
+    MinRowBytes min;
+    T probe;
+    each_row(min, probe, 0);
+    if (status.ok() && n > in->remaining() / min.bytes) {
+      status = Status::Corruption(std::string(kind) + " stats overrun frame");
+    }
+    if (!status.ok()) return;
+    rows.resize(n);
+    for (size_t i = 0; i < n; ++i) each_row(*this, rows[i], i);
+  }
+};
+
+/// Scalars print as `name value` lines while walking; row lines
+/// (`kind key name=value ...`) follow after all of them.
+class StatsPrinter {
+ public:
+  void Field(const char* name, uint64_t value) {
+    Put(name, std::to_string(value));
+  }
+  void Field(const char* name, double value) {
+    char text[320];  // "%.3f" of -DBL_MAX is 314 characters
+    std::snprintf(text, sizeof(text), "%.3f", value);
+    Put(name, text);
+  }
+  void Field(const char* name, const std::string& value) { Put(name, value); }
+  void Role(const char* name, uint64_t value) {
+    Put(name, value == 1 ? "follower" : "primary");
+  }
+  void Key(std::string_view key) { Put("", key); }
+  void Key(size_t index) { Put("", std::to_string(index)); }
+  template <typename R, typename F>
+  void Rows(const char* kind, const R& rows, F each_row) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      rows_.append(kind);
+      in_row_ = at_row_key_ = true;
+      each_row(*this, rows[i], i);
+      rows_.append("\n");
+    }
+    in_row_ = false;
+  }
+  std::string Text() const { return scalars_ + rows_; }
+
+ private:
+  void Put(const char* name, std::string_view value) {
+    if (!in_row_) {
+      scalars_.append(name).append(" ").append(value).append("\n");
+      return;
+    }
+    rows_.append(" ");
+    if (!at_row_key_) rows_.append(name).append("=");
+    at_row_key_ = false;
+    rows_.append(value);
+  }
+
+  std::string scalars_;
+  std::string rows_;
+  bool in_row_ = false;
+  bool at_row_key_ = false;
+};
+
 }  // namespace
+
+std::string StatsText(const StoreStats& stats) {
+  StatsPrinter printer;
+  VisitStats(stats, printer);
+  return printer.Text();
+}
 
 std::string_view LatencyOpName(LatencyOp op) {
   switch (op) {
@@ -272,75 +476,11 @@ std::string EncodeResponse(const Response& response) {
       case Request::Op::kCheckpoint:
         PutVarint64(&body, response.epoch);
         break;
-      case Request::Op::kStats:
-        PutVarint64(&body, response.stats.num_series);
-        PutVarint64(&body, response.stats.num_intervals);
-        PutVarint64(&body, response.stats.size_in_bytes);
-        PutVarint64(&body, response.stats.wal_offset);
-        PutVarint64(&body, response.stats.epoch);
-        PutVarint64(&body, response.stats.batch_commits);
-        PutVarint64(&body, response.stats.background_checkpoints);
-        PutVarint64(&body, response.stats.connections_open);
-        PutVarint64(&body, response.stats.connections_accepted);
-        PutVarint64(&body, response.stats.connections_shed);
-        PutVarint64(&body, response.stats.busy_rejections);
-        PutVarint64(&body, response.stats.staged_bytes);
-        // v4: one latency row per LatencyOp, fixed count so the decoder
-        // can reject a peer that disagrees about the op set.
-        PutVarint64(&body, kNumLatencyOps);
-        for (const OpLatencyStats& row : response.stats.op_latencies) {
-          PutVarint64(&body, row.count);
-          PutFixedDouble(&body, row.p50_us);
-          PutFixedDouble(&body, row.p90_us);
-          PutFixedDouble(&body, row.p99_us);
-          PutFixedDouble(&body, row.p999_us);
-          PutFixedDouble(&body, row.max_us);
-        }
-        PutVarint64(&body, response.stats.shards.size());
-        for (const ShardStats& shard : response.stats.shards) {
-          PutVarint64(&body, shard.shard);
-          PutVarint64(&body, shard.num_series);
-          PutVarint64(&body, shard.wal_bytes);
-          PutVarint64(&body, shard.epoch);
-          PutVarint64(&body, shard.batch_commits);
-          PutVarint64(&body, shard.background_checkpoints);
-        }
-        // v5: replication + fencing, appended after the shard rows so
-        // the v4 field prefix is byte-identical.
-        PutVarint64(&body, response.stats.role);
-        PutVarint64(&body, response.stats.fence_token);
-        PutVarint64(&body, response.stats.fenced);
-        PutVarint64(&body, response.stats.repl_subscribers);
-        PutVarint64(&body, response.stats.repl_shipped_bytes);
-        PutVarint64(&body, response.stats.repl_applied_bytes);
-        PutVarint64(&body, response.stats.repl_connected);
-        PutVarint64(&body, response.stats.repl_heartbeat_age_ms);
-        // v6: rollup-ladder rows, appended after the v5 fields so
-        // their byte prefix is untouched.
-        PutVarint64(&body, response.stats.levels.size());
-        for (const LevelStatsRow& level : response.stats.levels) {
-          PutVarint64(&body, level.interval_seconds);
-          PutVarint64(&body, level.retention_seconds);
-          PutVarint64(&body, level.num_intervals);
-          PutVarint64(&body, level.rollup_merges);
-          PutVarint64(&body, level.retained_bytes);
-        }
-        // v7: per-tag admission rows, appended after the v6 level rows
-        // so every earlier version's byte prefix is untouched.
-        PutVarint64(&body, response.stats.tags.size());
-        for (const TagStatsRow& tag : response.stats.tags) {
-          PutLengthPrefixed(&body, tag.tag);
-          PutVarint64(&body, tag.floor_bytes);
-          PutVarint64(&body, tag.budget_bytes);
-          PutVarint64(&body, tag.staged_bytes);
-          PutVarint64(&body, tag.busy_rejections);
-          PutVarint64(&body, tag.throttle_permille);
-          PutVarint64(&body, tag.count);
-          PutFixedDouble(&body, tag.p50_us);
-          PutFixedDouble(&body, tag.p99_us);
-          PutFixedDouble(&body, tag.p999_us);
-        }
+      case Request::Op::kStats: {
+        StatsEncoder encoder{&body};
+        VisitStats(response.stats, encoder);
         break;
+      }
       case Request::Op::kSubscribe:
         PutVarint64(&body, response.repl_token);
         PutVarint64(&body, response.repl_shards);
@@ -394,98 +534,9 @@ Result<Response> DecodeResponse(std::string_view body) {
         DD_RETURN_IF_ERROR(in.GetVarint64(&response.epoch));
         break;
       case Request::Op::kStats: {
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.num_series));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.num_intervals));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.size_in_bytes));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.wal_offset));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.epoch));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.batch_commits));
-        DD_RETURN_IF_ERROR(
-            in.GetVarint64(&response.stats.background_checkpoints));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.connections_open));
-        DD_RETURN_IF_ERROR(
-            in.GetVarint64(&response.stats.connections_accepted));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.connections_shed));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.busy_rejections));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.staged_bytes));
-        // v4 latency rows: the count is fixed at kNumLatencyOps — any
-        // other value means the peer's op set diverged from ours.
-        uint64_t n_latency_ops = 0;
-        DD_RETURN_IF_ERROR(in.GetVarint64(&n_latency_ops));
-        if (n_latency_ops != kNumLatencyOps) {
-          return Status::Corruption("unexpected latency row count");
-        }
-        for (OpLatencyStats& row : response.stats.op_latencies) {
-          DD_RETURN_IF_ERROR(in.GetVarint64(&row.count));
-          DD_RETURN_IF_ERROR(in.GetFixedDouble(&row.p50_us));
-          DD_RETURN_IF_ERROR(in.GetFixedDouble(&row.p90_us));
-          DD_RETURN_IF_ERROR(in.GetFixedDouble(&row.p99_us));
-          DD_RETURN_IF_ERROR(in.GetFixedDouble(&row.p999_us));
-          DD_RETURN_IF_ERROR(in.GetFixedDouble(&row.max_us));
-        }
-        uint64_t n_shards = 0;
-        DD_RETURN_IF_ERROR(in.GetVarint64(&n_shards));
-        // Every shard row is at least 6 varint bytes; a count the frame
-        // cannot possibly hold is corruption, not an allocation request.
-        if (n_shards > in.remaining() / 6) {
-          return Status::Corruption("shard stats overrun frame");
-        }
-        response.stats.shards.resize(n_shards);
-        for (ShardStats& shard : response.stats.shards) {
-          DD_RETURN_IF_ERROR(in.GetVarint64(&shard.shard));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&shard.num_series));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&shard.wal_bytes));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&shard.epoch));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&shard.batch_commits));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&shard.background_checkpoints));
-        }
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.role));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.fence_token));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.fenced));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.repl_subscribers));
-        DD_RETURN_IF_ERROR(
-            in.GetVarint64(&response.stats.repl_shipped_bytes));
-        DD_RETURN_IF_ERROR(
-            in.GetVarint64(&response.stats.repl_applied_bytes));
-        DD_RETURN_IF_ERROR(in.GetVarint64(&response.stats.repl_connected));
-        DD_RETURN_IF_ERROR(
-            in.GetVarint64(&response.stats.repl_heartbeat_age_ms));
-        uint64_t n_levels = 0;
-        DD_RETURN_IF_ERROR(in.GetVarint64(&n_levels));
-        // Every level row is at least 5 varint bytes; a count the frame
-        // cannot possibly hold is corruption, not an allocation request.
-        if (n_levels > in.remaining() / 5) {
-          return Status::Corruption("level stats overrun frame");
-        }
-        response.stats.levels.resize(n_levels);
-        for (LevelStatsRow& level : response.stats.levels) {
-          DD_RETURN_IF_ERROR(in.GetVarint64(&level.interval_seconds));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&level.retention_seconds));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&level.num_intervals));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&level.rollup_merges));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&level.retained_bytes));
-        }
-        uint64_t n_tags = 0;
-        DD_RETURN_IF_ERROR(in.GetVarint64(&n_tags));
-        // Every tag row is at least 31 bytes (7 varints + 3 fixed
-        // doubles); a count the frame cannot possibly hold is
-        // corruption, not an allocation request.
-        if (n_tags > in.remaining() / 31) {
-          return Status::Corruption("tag stats overrun frame");
-        }
-        response.stats.tags.resize(n_tags);
-        for (TagStatsRow& tag : response.stats.tags) {
-          DD_RETURN_IF_ERROR(GetLengthPrefixed(&in, &tag.tag));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&tag.floor_bytes));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&tag.budget_bytes));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&tag.staged_bytes));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&tag.busy_rejections));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&tag.throttle_permille));
-          DD_RETURN_IF_ERROR(in.GetVarint64(&tag.count));
-          DD_RETURN_IF_ERROR(in.GetFixedDouble(&tag.p50_us));
-          DD_RETURN_IF_ERROR(in.GetFixedDouble(&tag.p99_us));
-          DD_RETURN_IF_ERROR(in.GetFixedDouble(&tag.p999_us));
-        }
+        StatsDecoder decoder{&in};
+        VisitStats(response.stats, decoder);
+        DD_RETURN_IF_ERROR(decoder.status);
         break;
       }
       case Request::Op::kSubscribe:

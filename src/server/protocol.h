@@ -173,7 +173,9 @@ struct TagStatsRow {
 
 /// STATS response payload. The scalar fields aggregate across shards
 /// (sums, except `epoch` which is the minimum shard epoch); `shards`
-/// carries one row per shard.
+/// carries one row per shard. The wire order of every field, and its
+/// `remote-stats` name, are listed once in protocol.cc (VisitStats):
+/// the codec below and StatsText all walk that list.
 struct StoreStats {
   uint64_t num_series = 0;
   uint64_t num_intervals = 0;
@@ -200,7 +202,8 @@ struct StoreStats {
   // field prefix is untouched).
   uint64_t role = 0;                 ///< 0 = primary, 1 = follower
   uint64_t fence_token = 0;          ///< current fencing token
-  uint64_t fenced = 0;               ///< 1 when sticky-fenced (writes refused)
+  uint64_t fenced = 0;               ///< 1 when writes are refused with FENCED
+                                     ///< (follower, or a fenced ex-primary)
   uint64_t repl_subscribers = 0;     ///< primary: attached followers
   uint64_t repl_shipped_bytes = 0;   ///< primary: WAL bytes shipped
   uint64_t repl_applied_bytes = 0;   ///< follower: WAL bytes applied
@@ -258,6 +261,12 @@ std::string EncodeResponse(const Response& response);
 /// truncated, or trailing bytes fail with Corruption.
 Result<Request> DecodeRequest(std::string_view body);
 Result<Response> DecodeResponse(std::string_view body);
+
+/// The `remote-stats` text of a STATS payload: one `name value` line
+/// per scalar in wire order, then one `kind key name=value ...` line per
+/// op-latency, shard, level and tag row. Doubles print as "%.3f", `role`
+/// as primary/follower.
+std::string StatsText(const StoreStats& stats);
 
 /// Converts a response's code/message pair back into a Status, so client
 /// callers see the server-side error exactly as the server produced it.

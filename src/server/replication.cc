@@ -16,6 +16,22 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
+/// Per-subscriber cap on buffered outgoing bytes; at the cap the
+/// shipper stops reading further WAL (the disk is the backlog).
+constexpr uint64_t kSubscriberOutbufBytes = 4u << 20;
+/// Max WAL bytes read per segment frame.
+constexpr uint64_t kSegmentBytes = 1u << 20;
+/// A follower's delay between reconnect attempts after an error.
+constexpr int64_t kReconnectMs = 200;
+/// SO_SNDTIMEO on a follower's upstream connection. Ack (and FENCE)
+/// writes hold conn_mu_, which StopTail/Stop also need — without a
+/// deadline a partitioned primary could wedge a blocking send for the
+/// TCP retransmission timeout (minutes) and stall promotion/shutdown
+/// for that long. Acks are resent implicitly by the next reconnect's
+/// SUBSCRIBE positions and FenceUpstream is documented best-effort, so
+/// a short deadline is safe.
+constexpr int64_t kFollowerWriteTimeoutMs = 2000;
+
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              Clock::now().time_since_epoch())
@@ -150,7 +166,7 @@ void ReplicationShipper::Wake() {
 
 bool ReplicationShipper::QueueShipping(Subscriber* sub) {
   for (size_t k = 0; k < shards_.size(); ++k) {
-    while (sub->conn.pending_write_bytes() < options_.outbuf_bytes) {
+    while (sub->conn.pending_write_bytes() < kSubscriberOutbufBytes) {
       std::lock_guard<std::mutex> store_lk(*shards_[k].store_mu);
       const DurableSketchStore& store = *shards_[k].store;
       const uint64_t cur_epoch = store.epoch();
@@ -171,7 +187,7 @@ bool ReplicationShipper::QueueShipping(Subscriber* sub) {
       if (sent.first == cur_epoch && sent.second <= cur_offset) {
         if (sent.second < kWalHeaderBytes) sent.second = kWalHeaderBytes;
         if (sent.second >= cur_offset) break;  // caught up on this shard
-        auto chunk = store.ReadWalChunk(sent.second, options_.segment_bytes);
+        auto chunk = store.ReadWalChunk(sent.second, kSegmentBytes);
         if (!chunk.ok()) return false;  // our own WAL unreadable: drop + let
                                         // the follower resync elsewhere
         if (chunk.value().empty()) break;
@@ -480,8 +496,7 @@ void ReplicationFollower::TailLoop() {
     // Reconnect backoff, in small steps so Stop() stays prompt.
     const int64_t step_ms = 20;
     for (int64_t waited = 0;
-         waited < options_.reconnect_ms &&
-         !stop_.load(std::memory_order_relaxed);
+         waited < kReconnectMs && !stop_.load(std::memory_order_relaxed);
          waited += step_ms) {
       ::usleep(static_cast<useconds_t>(step_ms) * 1000);
     }
@@ -492,19 +507,17 @@ void ReplicationFollower::RunSession() {
   auto connected = ConnectTcp(options_.host, options_.port);
   if (!connected.ok()) return;
   const int fd = connected.value();
-  if (options_.write_timeout_ms > 0) {
-    // Bound every write on this socket (acks in ApplyFrame, the FENCE
-    // in FenceUpstream) — they run under conn_mu_, which StopTail and
-    // Stop must also acquire, so an unbounded send against a wedged
-    // upstream would stall promotion for the TCP retransmission
-    // timeout. A timed-out send fails the session; the reconnect's
-    // SUBSCRIBE re-announces our durable positions, so no ack is lost.
-    struct timeval tv;
-    tv.tv_sec = static_cast<time_t>(options_.write_timeout_ms / 1000);
-    tv.tv_usec =
-        static_cast<suseconds_t>((options_.write_timeout_ms % 1000) * 1000);
-    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
+  // Bound every write on this socket (acks in ApplyFrame, the FENCE in
+  // FenceUpstream) — they run under conn_mu_, which StopTail and Stop
+  // must also acquire, so an unbounded send against a wedged upstream
+  // would stall promotion for the TCP retransmission timeout. A
+  // timed-out send fails the session; the reconnect's SUBSCRIBE
+  // re-announces our durable positions, so no ack is lost.
+  struct timeval tv;
+  tv.tv_sec = static_cast<time_t>(kFollowerWriteTimeoutMs / 1000);
+  tv.tv_usec =
+      static_cast<suseconds_t>((kFollowerWriteTimeoutMs % 1000) * 1000);
+  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
   {
     std::lock_guard<std::mutex> lk(conn_mu_);
     if (stop_.load(std::memory_order_relaxed)) {

@@ -72,11 +72,6 @@ struct ReplicationShipperOptions {
   int64_t ack_timeout_ms = 1000;
   /// Heartbeat cadence on every subscriber connection.
   int64_t heartbeat_ms = 500;
-  /// Per-subscriber cap on buffered outgoing bytes; at the cap the
-  /// shipper stops reading further WAL (the disk is the backlog).
-  uint64_t outbuf_bytes = 4u << 20;
-  /// Max WAL bytes read per segment frame.
-  uint64_t segment_bytes = 1u << 20;
   /// Snapshot images larger than this ship as a kSnapshotChunk train
   /// closed by kSnapshotEnd instead of one kSnapshot frame, so the
   /// 64 MiB frame cap bounds a chunk, not the bootstrapable shard
@@ -198,16 +193,6 @@ class ReplicationShipper {
 struct ReplicationFollowerOptions {
   std::string host;
   uint16_t port = 0;
-  /// Delay between reconnect attempts after an error.
-  int64_t reconnect_ms = 200;
-  /// SO_SNDTIMEO on the upstream connection. Ack (and FENCE) writes
-  /// hold conn_mu_, which StopTail/Stop also need — without a deadline
-  /// a partitioned primary could wedge a blocking send for the TCP
-  /// retransmission timeout (minutes) and stall promotion/shutdown for
-  /// that long. Acks are resent implicitly by the next reconnect's
-  /// SUBSCRIBE positions and FenceUpstream is documented best-effort,
-  /// so a short deadline is safe. 0 = no deadline.
-  int64_t write_timeout_ms = 2000;
 };
 
 /// Follower side: tails a primary and applies its stream.

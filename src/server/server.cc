@@ -49,6 +49,11 @@ WalRecord ToWalRecord(const Request& request) {
 /// slot. Keeps tiny records from being "free" under admission control.
 constexpr uint64_t kStagedRecordOverhead = 64;
 
+/// Most records one connection stages in one run; a run's cap is
+/// min(commit_batch x shards, this). The connection's reads pause until
+/// its run commits, so one firehose client cannot monopolize the budget.
+constexpr size_t kMaxRunRecords = 1024;
+
 /// The throttle controller ignores a tag's latency window below this
 /// many samples — a handful of acks is noise, not a p99.
 constexpr uint64_t kThrottleMinSamples = 32;
@@ -435,10 +440,10 @@ class SketchServer::EventLoop {
       // Collect the pipelined run of ingest requests already buffered,
       // so one client's burst becomes one staged group per shard. The
       // cap scales with the shard count (the run is split across shard
-      // queues) but is bounded per connection by max_conn_inflight.
-      const size_t run_cap = std::max<size_t>(
-          1, std::min(server_->options_.commit_batch * server_->shards_.size(),
-                      server_->options_.max_conn_inflight));
+      // queues) but is bounded per connection by kMaxRunRecords.
+      const size_t run_cap =
+          std::min(server_->options_.commit_batch * server_->shards_.size(),
+                   kMaxRunRecords);
       auto run = std::make_unique<IngestRun>();
       run->loop = this;
       run->conn = c;
@@ -683,9 +688,6 @@ Result<std::unique_ptr<SketchServer>> SketchServer::Start(
     const std::string& data_dir, const SketchServerOptions& options) {
   if (options.commit_batch == 0) {
     return Status::InvalidArgument("commit_batch must be at least 1");
-  }
-  if (options.max_conn_inflight == 0) {
-    return Status::InvalidArgument("max_conn_inflight must be at least 1");
   }
   if (options.tag_p99_target_us < 0) {
     return Status::InvalidArgument("tag_p99_target_us must be >= 0");
@@ -1032,10 +1034,11 @@ Response SketchServer::HandleNonIngest(const Request& request) {
             stats.levels[i].retained_bytes += levels[i].retained_bytes;
           }
           // v5: fencing state, aggregated conservatively (max token; one
-          // fenced shard fences the server).
+          // shard refusing writes fences the server — a follower's
+          // shards all do).
           stats.fence_token =
               std::max(stats.fence_token, shard_store.fence_token());
-          if (shard_store.fenced()) stats.fenced = 1;
+          if (shard_store.writes_fenced()) stats.fenced = 1;
           if (k == 0) {
             stats.role =
                 shard_store.role() == StoreRole::kFollower ? 1 : 0;

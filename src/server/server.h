@@ -36,16 +36,16 @@
 // retry_after_ms hint) while honest tags keep their floor. When
 // --tag-p99-target-us is set, the maintenance thread's throttle duty
 // drains each tag's ack-latency window every 200 ms and halves a
-// breaching tag's borrowable share, decaying it back on recovery. Runs are
-// additionally capped per connection (`max_conn_inflight`), and
-// connections that stall mid-frame (slow loris), stop reading their
-// responses, or sit idle past the configured deadlines are shed.
+// breaching tag's borrowable share, decaying it back on recovery. A
+// connection's staged run holds at most min(commit_batch × shards,
+// 1024) records, and connections that stall mid-frame (slow loris),
+// stop reading their responses, or sit idle past the configured
+// deadlines are shed.
 //
-// Group commit is unchanged from PR 5: each shard's committer drains
-// up to `commit_batch` staged records per commit — N acknowledged
-// ingests for one fsync, with up to `shards` fsyncs in flight at once.
-// A client sees OK only after the shard batch holding its record is
-// durable.
+// Group commit: each shard's committer drains up to `commit_batch`
+// staged records per commit — N acknowledged ingests for one fsync,
+// with up to `shards` fsyncs in flight at once. A client sees OK only
+// after the shard batch holding its record is durable.
 //
 // One maintenance thread runs both periodic policies on one ~50 ms
 // tick: the throttle duty first (at most every 200 ms), then the
@@ -141,9 +141,6 @@ struct SketchServerOptions {
   /// ingest/merge ack p99 (microseconds) breaches this target.
   /// 0 disables the controller (floors still isolate tenants).
   int64_t tag_p99_target_us = 0;
-  /// Per-connection cap on records staged in one run (one run per
-  /// connection may be in flight; reads pause until it commits).
-  size_t max_conn_inflight = 1024;
   /// Shed a connection that has been completely idle (hello done, no
   /// partial frame, no pending writes) this long. 0 = never.
   int64_t idle_timeout_ms = 300000;

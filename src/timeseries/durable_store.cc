@@ -340,7 +340,7 @@ Status DurableSketchStore::CheckpointUnguarded() {
   //  * replication — a follower crossing this epoch boundary runs its
   //    own CheckpointUnguarded with bit-identical raw state (it has
   //    replayed the full epoch), so it folds to bit-identical levels.
-  rollup_folded_ += store_.Compact(std::numeric_limits<int64_t>::max());
+  store_.Compact(std::numeric_limits<int64_t>::max());
   const uint64_t epoch = wal_.epoch();
   const uint64_t end_offset = wal_.offset();
   DD_RETURN_IF_ERROR(
@@ -361,7 +361,6 @@ Result<size_t> DurableSketchStore::Compact(int64_t now) {
   // horizon inside SketchStore::Compact); the checkpoint that persists
   // it then folds anything still eligible by data time.
   const size_t compacted = store_.Compact(now);
-  rollup_folded_ += compacted;
   DD_RETURN_IF_ERROR(CheckpointUnguarded());
   return compacted;
 }

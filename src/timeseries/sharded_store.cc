@@ -135,31 +135,4 @@ size_t ShardedDurableStore::TotalIntervals() const {
   return total;
 }
 
-std::vector<LevelUsage> ShardedDurableStore::LevelStats() const {
-  std::vector<LevelUsage> total = shards_[0]->LevelStats();
-  for (size_t k = 1; k < shards_.size(); ++k) {
-    const std::vector<LevelUsage> stats = shards_[k]->LevelStats();
-    for (size_t i = 0; i < total.size() && i < stats.size(); ++i) {
-      total[i].num_intervals += stats[i].num_intervals;
-      total[i].rollup_merges += stats[i].rollup_merges;
-      total[i].retained_bytes += stats[i].retained_bytes;
-    }
-  }
-  return total;
-}
-
-uint64_t ShardedDurableStore::TotalRollupFolded() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->rollup_folded();
-  return total;
-}
-
-uint64_t ShardedDurableStore::MinEpoch() const {
-  uint64_t min_epoch = shards_[0]->epoch();
-  for (const auto& shard : shards_) {
-    min_epoch = std::min(min_epoch, shard->epoch());
-  }
-  return min_epoch;
-}
-
 }  // namespace dd

@@ -138,7 +138,6 @@ class ShardedDurableStore {
   // file is its durable home, so reads aggregate conservatively. The
   // server fences and promotes shard by shard under its own locks.
 
-  StoreRole role() const { return shards_[0]->role(); }
   /// True when any shard is fenced — one fenced shard fences the server.
   bool Fenced() const;
   bool WritesFenced() const { return shards_[0]->writes_fenced() || Fenced(); }
@@ -147,16 +146,6 @@ class ShardedDurableStore {
   // itself because it needs to interleave its per-shard locks).
   size_t TotalSeries() const;
   size_t TotalIntervals() const;
-  /// Per-level usage summed across shards (every shard carries the same
-  /// ladder — the geometry is pinned by each shard's snapshot).
-  std::vector<LevelUsage> LevelStats() const;
-  /// Total interval sketches folded by checkpoint-time rollup across
-  /// shards since open.
-  uint64_t TotalRollupFolded() const;
-  /// Minimum epoch across shards — the conservative "generation" of the
-  /// directory as a whole (every shard has checkpointed at least
-  /// min_epoch - 1 times).
-  uint64_t MinEpoch() const;
 
  private:
   explicit ShardedDurableStore(

@@ -627,6 +627,75 @@ TEST(GoldenPersistenceTest, ProtocolFixtureRoundTripsByteExactly) {
   EXPECT_EQ(end.epoch, 2u);
 }
 
+// `remote-stats` prints StatsText. Pin its exact text for the fixture's
+// STATS response (frame 13 after the hello), so a renamed, dropped or
+// reordered field, or a changed number format, fails here rather than in
+// the scripts that grep it.
+TEST(GoldenPersistenceTest, ProtocolFixtureStatsTextPinned) {
+  const std::string fixture = ReadFixture("protocol_v7.bin");
+  std::string_view walk(fixture);
+  walk.remove_prefix(kHelloBytes);
+  size_t frame_size = 0;
+  for (int i = 0; i < 13; ++i) {
+    ASSERT_TRUE(DecodeFrame(walk, &frame_size).ok());
+    walk.remove_prefix(frame_size);
+  }
+  auto body = DecodeFrame(walk, &frame_size);
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  auto stats_ok = DecodeResponse(body.value());
+  ASSERT_TRUE(stats_ok.ok()) << stats_ok.status().ToString();
+  ASSERT_EQ(stats_ok.value().op, Request::Op::kStats);
+  EXPECT_EQ(StatsText(stats_ok.value().stats),
+            "series 2\n"
+            "intervals 5\n"
+            "bytes 4096\n"
+            "wal_bytes 40\n"
+            "epoch 2\n"
+            "batch_commits 17\n"
+            "background_checkpoints 3\n"
+            "connections_open 1024\n"
+            "connections_accepted 4096\n"
+            "connections_shed 7\n"
+            "busy_rejections 21\n"
+            "staged_bytes 65536\n"
+            "role primary\n"
+            "fence_token 3\n"
+            "fenced 0\n"
+            "repl_subscribers 1\n"
+            "repl_shipped_bytes 8192\n"
+            "repl_applied_bytes 0\n"
+            "repl_connected 0\n"
+            "repl_heartbeat_age_ms 0\n"
+            "op_latency INGEST count=4096 p50_us=812.500 p90_us=1900.250 "
+            "p99_us=4225.000 p999_us=9800.125 max_us=12000.500\n"
+            "op_latency MERGE count=0 p50_us=0.000 p90_us=0.000 "
+            "p99_us=0.000 p999_us=0.000 max_us=0.000\n"
+            "op_latency QUERY count=32 p50_us=95.000 p90_us=140.750 "
+            "p99_us=310.000 p999_us=310.000 max_us=310.000\n"
+            "op_latency CHECKPOINT count=0 p50_us=0.000 p90_us=0.000 "
+            "p99_us=0.000 p999_us=0.000 max_us=0.000\n"
+            "op_latency STATS count=0 p50_us=0.000 p90_us=0.000 "
+            "p99_us=0.000 p999_us=0.000 max_us=0.000\n"
+            "op_latency BUSY count=21 p50_us=2.500 p90_us=4.000 "
+            "p99_us=6.250 p999_us=6.250 max_us=6.250\n"
+            "shard 0 series=1 wal_bytes=27 epoch=2 commits=9 "
+            "bg_checkpoints=2\n"
+            "shard 1 series=1 wal_bytes=13 epoch=3 commits=8 "
+            "bg_checkpoints=1\n"
+            "level 0 interval_s=10 retention_s=3600 intervals=360 "
+            "rollup_merges=0 bytes=40960\n"
+            "level 1 interval_s=60 retention_s=86400 intervals=1440 "
+            "rollup_merges=2100 bytes=131072\n"
+            "level 2 interval_s=3600 retention_s=0 intervals=24 "
+            "rollup_merges=35 bytes=16384\n"
+            "tag default floor_bytes=1048576 budget_bytes=3145728 "
+            "staged_bytes=0 busy_rejections=0 share_permille=1000 count=96 "
+            "p50_us=120.500 p99_us=800.250 p999_us=1500.000\n"
+            "tag team-a.prod floor_bytes=1048576 budget_bytes=1572864 "
+            "staged_bytes=4096 busy_rejections=21 share_permille=250 "
+            "count=2048 p50_us=95.000 p99_us=5000.500 p999_us=12000.000\n");
+}
+
 TEST(GoldenPersistenceTest, VersionByteGuardsDecoding) {
   std::string wal = GoldenWalBytes();
   wal[4] = 2;  // future version

@@ -279,9 +279,21 @@ TEST_F(ReplicationTest, PromotingTheFollowerFencesALivePrimary) {
     ASSERT_TRUE(client.IngestValue("demote", i, 1.0 + i).ok());
   }
 
+  // A follower refuses every write with FENCED, and STATS says so; the
+  // promotion lifts both.
   SketchClient follower_client = MustConnect(follower->port());
+  auto before = follower_client.Stats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before.value().role, 1u);
+  EXPECT_EQ(before.value().fenced, 1u);
+  EXPECT_EQ(follower_client.IngestValue("demote", 0, 1.0).code(),
+            StatusCode::kFenced);
   auto token = follower_client.Promote();
   ASSERT_TRUE(token.ok()) << token.status().ToString();
+  auto after = follower_client.Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().role, 0u);
+  EXPECT_EQ(after.value().fenced, 0u);
 
   // The FENCE frame races the promote's return; poll until the old
   // primary starts refusing. Once fenced it must stay fenced (sticky),

@@ -217,8 +217,9 @@ TEST_F(ShardedStoreTest, PerShardCheckpointAdvancesOnlyThatShard) {
   EXPECT_EQ(store.shard(2).epoch(), 1u);
   // The facade-wide checkpoint catches every shard up.
   ASSERT_TRUE(store.Checkpoint().ok());
-  EXPECT_EQ(store.MinEpoch(), 2u);
+  EXPECT_EQ(store.shard(0).epoch(), 2u);
   EXPECT_EQ(store.shard(1).epoch(), 3u);
+  EXPECT_EQ(store.shard(2).epoch(), 2u);
 }
 
 TEST_F(ShardedStoreTest, CompactRollsUpEveryShardAndPreservesAnswers) {
@@ -240,7 +241,6 @@ TEST_F(ShardedStoreTest, CompactRollsUpEveryShardAndPreservesAnswers) {
   auto compacted = store.Compact(/*now=*/100000);
   ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
   EXPECT_GT(compacted.value(), 0u);
-  EXPECT_GT(store.TotalRollupFolded(), 0u);
   for (int s = 0; s < 6; ++s) {
     EXPECT_EQ(std::move(store.QueryQuantile("svc." + std::to_string(s), 0,
                                             7200, 0.9))

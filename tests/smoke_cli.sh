@@ -40,4 +40,20 @@ cmp "$WORK/d0.txt" "$WORK/s0.txt"
 "$CLI" query --data-dir "$WORK/ts" --series svc --start 0 --end 200 0.5 > "$WORK/d2.txt"
 cmp "$WORK/d1.txt" "$WORK/d2.txt"
 
+# A malformed number is a usage error (exit 2), never another number:
+# "12abc" is not timestamp 12, "1x" is not 1, and "1e3" is not a count.
+usage_error() {
+  RC=0
+  "$@" < "$WORK/values.txt" > "$WORK/bad.txt" 2>&1 || RC=$?
+  [ "$RC" -eq 2 ] || { echo "$* exited $RC, want 2"; cat "$WORK/bad.txt"; exit 1; }
+}
+usage_error "$CLI" ingest --data-dir "$WORK/ts" --series bad --timestamp 12abc
+usage_error "$CLI" query --data-dir "$WORK/ts" --series svc --start 1x --end 200
+usage_error "$CLI" generate pareto 1e3
+# The refused ingest left nothing behind for its series.
+if "$CLI" query --data-dir "$WORK/ts" --series bad --start 0 --end 200 \
+     > "$WORK/bad.txt" 2>&1; then
+  echo "a refused ingest stored data"; exit 1
+fi
+
 echo "smoke_cli OK"

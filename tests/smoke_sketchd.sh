@@ -1,16 +1,17 @@
 #!/bin/sh
 # End-to-end socket smoke test for the sketchd daemon, in seven acts:
 #
-#  0. flag hygiene: every --flag named in docs/OPERATIONS.md's flag
-#     table must appear in `sketchd --help`, and a numeric flag whose
-#     value is out of range or not a number is a usage error (exit 2).
+#  0. flag hygiene: docs/OPERATIONS.md's flag table and `sketchd --help`
+#     must name the same flags, and a numeric flag whose value is out of
+#     range or not a number is a usage error (exit 2).
 #  1. legacy single-shard pass: start on a temp data dir, ingest 10k
 #     values over the wire via ddsketch_cli, check the quantiles against
 #     an in-process reference sketch built from the same values (within
-#     the paper's accuracy bound), check the daemon's own v4 per-op
-#     ack-latency rows (nonzero INGEST/QUERY counts, ordered
-#     percentiles), SIGKILL the daemon, restart it, and verify recovery
-#     answers byte-identically.
+#     the paper's accuracy bound), check that remote-stats prints
+#     exactly the keys of OPERATIONS.md's STATS field table, check the
+#     daemon's own v4 per-op ack-latency rows (nonzero INGEST/QUERY
+#     counts, ordered percentiles), SIGKILL the daemon, restart it, and
+#     verify recovery answers byte-identically.
 #  2. sharded pass (--shards 4): ingest the same stream into four series,
 #     observe a background checkpoint via remote-stats (epoch advances
 #     with no client CHECKPOINT), SIGKILL, restart WITHOUT --shards
@@ -64,20 +65,19 @@ wait_for_port() {
 
 # --- 0: no doc drift -------------------------------------------------------
 # The operator manual's flag table (between the flags:begin/flags:end
-# markers) is the contract; --help must know every flag it documents.
+# markers) is the contract: it and --help must name the same flags, so
+# a flag can be neither added nor removed on one side only.
 HELP="$("$SKETCHD" --help)"
-FLAGS="$(sed -n '/flags:begin/,/flags:end/p' "$OPS" | grep -oE -- '--[a-z][a-z-]*' | sort -u)"
-NFLAGS=0
-for flag in $FLAGS; do
-  NFLAGS=$((NFLAGS + 1))
-  case "$HELP" in
-    *"$flag"*) ;;
-    *) echo "OPERATIONS.md documents $flag but sketchd --help does not"; exit 1 ;;
-  esac
-done
+printf '%s\n' "$HELP" | grep -oE -- '--[a-z][a-z-]*' | sort -u \
+  > "$WORK/flags_help.txt"
+sed -n '/flags:begin/,/flags:end/p' "$OPS" | grep -oE -- '--[a-z][a-z-]*' \
+  | sort -u > "$WORK/flags_doc.txt"
 # Guard the grep itself: if the doc's table markers move, fail loudly
 # instead of silently checking nothing.
-[ "$NFLAGS" -ge 8 ] || { echo "flag table not found in $OPS"; exit 1; }
+[ "$(wc -l < "$WORK/flags_doc.txt")" -ge 8 ] || {
+  echo "flag table not found in $OPS"; exit 1; }
+diff "$WORK/flags_doc.txt" "$WORK/flags_help.txt" || {
+  echo "OPERATIONS.md's flag table (<) and sketchd --help (>) differ"; exit 1; }
 
 # A port past 65535 must not wrap to another port, and a word must not
 # read as 0 (auto-detect). The timeout only bounds a daemon that wrongly
@@ -131,6 +131,19 @@ paste "$WORK/q1.txt" "$WORK/qref.txt" | awk '
 # (p50 <= p90 <= p99 <= p999; the exact max bounds the p999 estimate
 # within the sketch's relative accuracy).
 "$CLI" remote-stats --port "$PORT" > "$WORK/stats1.txt"
+
+# No STATS drift: the first words remote-stats prints — every scalar and
+# every row kind, as any live daemon has op_latency, shard, level and tag
+# rows — are exactly the keys of OPERATIONS.md's STATS field table
+# (between the stats:begin/stats:end markers).
+awk '{ print $1 }' "$WORK/stats1.txt" | sort -u > "$WORK/stats_keys.txt"
+sed -n '/stats:begin/,/stats:end/p' "$OPS" | grep -oE '^\| `[a-z0-9_]+' \
+  | sed 's/^| `//' | sort -u > "$WORK/stats_doc.txt"
+[ "$(wc -l < "$WORK/stats_doc.txt")" -ge 20 ] || {
+  echo "STATS field table not found in $OPS"; exit 1; }
+diff "$WORK/stats_doc.txt" "$WORK/stats_keys.txt" || {
+  echo "OPERATIONS.md's STATS table (<) and remote-stats (>) differ"; exit 1; }
+
 grep -q '^op_latency INGEST ' "$WORK/stats1.txt" || {
   echo "remote-stats lacks op_latency rows"; cat "$WORK/stats1.txt"; exit 1; }
 awk '

@@ -65,6 +65,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -74,6 +75,7 @@
 
 #include "core/ddsketch.h"
 #include "data/datasets.h"
+#include "parse_number.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "server/protocol.h"
@@ -117,6 +119,27 @@ int Usage() {
   return 2;
 }
 
+/// ParseArg for one ddsketch_cli argument; on false the caller exits 2.
+template <typename T>
+bool ParseValue(std::string_view name, const char* text, T* out,
+                T lo = std::numeric_limits<T>::lowest(),
+                T hi = std::numeric_limits<T>::max()) {
+  return dd::ParseArg("ddsketch_cli", name, text, lo, hi, out);
+}
+
+/// Parses positional quantiles (default: p50 p75 p90 p95 p99 p99.9).
+/// Returns false after reporting a malformed one.
+bool ParseQuantiles(const std::vector<std::string>& args,
+                    std::vector<double>* qs) {
+  for (const std::string& arg : args) {
+    double q = 0;
+    if (!ParseValue("quantile", arg.c_str(), &q, 0.0, 1.0)) return false;
+    qs->push_back(q);
+  }
+  if (qs->empty()) *qs = {0.5, 0.75, 0.9, 0.95, 0.99, 0.999};
+  return true;
+}
+
 dd::Result<dd::DDSketch> LoadSketch(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return dd::Status::InvalidArgument("cannot open " + path);
@@ -140,9 +163,9 @@ int CmdBuild(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--alpha" && i + 1 < argc) {
-      alpha = std::strtod(argv[++i], nullptr);
+      if (!ParseValue(arg, argv[++i], &alpha, 0.0, 1.0)) return Usage();
     } else if (arg == "--buckets" && i + 1 < argc) {
-      buckets = static_cast<int32_t>(std::strtol(argv[++i], nullptr, 10));
+      if (!ParseValue<int32_t>(arg, argv[++i], &buckets, 0)) return Usage();
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {
@@ -182,11 +205,12 @@ int CmdBuild(int argc, char** argv) {
 
 int CmdQuery(int argc, char** argv) {
   if (argc < 1) return Usage();
+  std::vector<double> qs;
+  if (!ParseQuantiles(std::vector<std::string>(argv + 1, argv + argc), &qs)) {
+    return Usage();
+  }
   auto sketch = LoadSketch(argv[0]);
   if (!sketch.ok()) return Fail(sketch.status().ToString());
-  std::vector<double> qs;
-  for (int i = 1; i < argc; ++i) qs.push_back(std::strtod(argv[i], nullptr));
-  if (qs.empty()) qs = {0.5, 0.75, 0.9, 0.95, 0.99, 0.999};
   for (double q : qs) {
     auto r = sketch.value().Quantile(q);
     if (!r.ok()) return Fail(r.status().ToString());
@@ -236,8 +260,9 @@ int CmdInfo(int argc, char** argv) {
   return 0;
 }
 
-// Shared flag parsing for the durable subcommands. Returns false (after
-// reporting) on an unknown flag; `extra` collects positional arguments.
+// Shared flag parsing for the durable subcommands. Returns 0, or the
+// exit code after reporting: 1 for an unknown or missing flag, 2 for a
+// malformed number. `extra` collects positional arguments.
 struct DurableArgs {
   std::string data_dir;
   std::string series;
@@ -253,60 +278,58 @@ struct DurableArgs {
   std::vector<std::string> extra;
 };
 
-bool ParseDurableArgs(int argc, char** argv, DurableArgs* out,
-                      bool require_data_dir = true) {
+int ParseDurableArgs(int argc, char** argv, DurableArgs* out,
+                     bool require_data_dir = true) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
+    bool parsed = true;
     if (arg == "--data-dir" && i + 1 < argc) {
       out->data_dir = argv[++i];
     } else if (arg == "--series" && i + 1 < argc) {
       out->series = argv[++i];
     } else if (arg == "--timestamp" && i + 1 < argc) {
-      out->timestamp = std::strtoll(argv[++i], nullptr, 10);
+      parsed = ParseValue(arg, argv[++i], &out->timestamp);
     } else if (arg == "--start" && i + 1 < argc) {
-      out->start = std::strtoll(argv[++i], nullptr, 10);
+      parsed = ParseValue(arg, argv[++i], &out->start);
     } else if (arg == "--end" && i + 1 < argc) {
-      out->end = std::strtoll(argv[++i], nullptr, 10);
+      parsed = ParseValue(arg, argv[++i], &out->end);
     } else if (arg == "--now" && i + 1 < argc) {
-      out->now = std::strtoll(argv[++i], nullptr, 10);
+      parsed = ParseValue(arg, argv[++i], &out->now);
       out->now_given = true;
     } else if (arg == "--host" && i + 1 < argc) {
       out->host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      out->port = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      parsed = ParseValue(arg, argv[++i], &out->port, 0, 65535);
     } else if (arg == "--alpha" && i + 1 < argc) {
-      out->alpha = std::strtod(argv[++i], nullptr);
+      parsed = ParseValue(arg, argv[++i], &out->alpha, 0.0, 1.0);
     } else if (arg == "--shards" && i + 1 < argc) {
-      out->shards = std::strtoull(argv[++i], nullptr, 10);
+      parsed = ParseValue(arg, argv[++i], &out->shards);
     } else if (!arg.empty() && arg[0] == '-') {
-      Fail("unknown option: " + arg);
-      return false;
+      return Fail("unknown option: " + arg);
     } else {
       out->extra.push_back(arg);
     }
+    if (!parsed) return Usage();
   }
   if (require_data_dir && out->data_dir.empty()) {
-    Fail("--data-dir is required");
-    return false;
+    return Fail("--data-dir is required");
   }
-  return true;
+  return 0;
 }
 
-/// Flag parsing for the remote subcommands: same flag set, but --port
-/// and --series are what is required instead of --data-dir.
-bool ParseRemoteArgs(int argc, char** argv, DurableArgs* out) {
-  if (!ParseDurableArgs(argc, argv, out, /*require_data_dir=*/false)) {
-    return false;
+/// Flag parsing for the remote subcommands: same flag set and exit
+/// codes, but --port and --series are what is required instead of
+/// --data-dir.
+int ParseRemoteArgs(int argc, char** argv, DurableArgs* out) {
+  if (int rc = ParseDurableArgs(argc, argv, out, /*require_data_dir=*/false);
+      rc != 0) {
+    return rc;
   }
   if (out->port <= 0 || out->port > 65535) {
-    Fail("--port is required (1-65535)");
-    return false;
+    return Fail("--port is required (1-65535)");
   }
-  if (out->series.empty()) {
-    Fail("--series is required");
-    return false;
-  }
-  return true;
+  if (out->series.empty()) return Fail("--series is required");
+  return 0;
 }
 
 /// Parses one ingest stdin line — a bare "value" (lands at
@@ -341,7 +364,7 @@ dd::Result<dd::ShardedDurableStore> OpenDurable(const DurableArgs& args) {
 
 int CmdIngest(int argc, char** argv) {
   DurableArgs args;
-  if (!ParseDurableArgs(argc, argv, &args)) return 1;
+  if (int rc = ParseDurableArgs(argc, argv, &args); rc != 0) return rc;
   if (args.series.empty()) return Fail("--series is required");
   auto opened = OpenDurable(args);
   if (!opened.ok()) return Fail(opened.status().ToString());
@@ -390,17 +413,14 @@ int CmdIngest(int argc, char** argv) {
 
 int CmdQueryDurable(int argc, char** argv) {
   DurableArgs args;
-  if (!ParseDurableArgs(argc, argv, &args)) return 1;
+  if (int rc = ParseDurableArgs(argc, argv, &args); rc != 0) return rc;
   if (args.series.empty()) return Fail("--series is required");
   if (args.end <= args.start) return Fail("--start/--end must be a window");
+  std::vector<double> qs;
+  if (!ParseQuantiles(args.extra, &qs)) return Usage();
   auto opened = OpenDurable(args);
   if (!opened.ok()) return Fail(opened.status().ToString());
   const dd::ShardedDurableStore store = std::move(opened).value();
-  std::vector<double> qs;
-  for (const std::string& arg : args.extra) {
-    qs.push_back(std::strtod(arg.c_str(), nullptr));
-  }
-  if (qs.empty()) qs = {0.5, 0.75, 0.9, 0.95, 0.99, 0.999};
   for (double q : qs) {
     auto r = store.QueryQuantile(args.series, args.start, args.end, q);
     if (!r.ok()) return Fail(r.status().ToString());
@@ -411,7 +431,7 @@ int CmdQueryDurable(int argc, char** argv) {
 
 int CmdCompact(int argc, char** argv) {
   DurableArgs args;
-  if (!ParseDurableArgs(argc, argv, &args)) return 1;
+  if (int rc = ParseDurableArgs(argc, argv, &args); rc != 0) return rc;
   auto opened = OpenDurable(args);
   if (!opened.ok()) return Fail(opened.status().ToString());
   dd::ShardedDurableStore store = std::move(opened).value();
@@ -427,7 +447,7 @@ int CmdCompact(int argc, char** argv) {
 
 int CmdRemoteIngest(int argc, char** argv) {
   DurableArgs args;
-  if (!ParseRemoteArgs(argc, argv, &args)) return 1;
+  if (int rc = ParseRemoteArgs(argc, argv, &args); rc != 0) return rc;
   auto connected =
       dd::SketchClient::Connect(args.host, static_cast<uint16_t>(args.port));
   if (!connected.ok()) return Fail(connected.status().ToString());
@@ -477,17 +497,14 @@ int CmdRemoteIngest(int argc, char** argv) {
 
 int CmdRemoteQuery(int argc, char** argv) {
   DurableArgs args;
-  if (!ParseRemoteArgs(argc, argv, &args)) return 1;
+  if (int rc = ParseRemoteArgs(argc, argv, &args); rc != 0) return rc;
   if (args.end <= args.start) return Fail("--start/--end must be a window");
+  std::vector<double> qs;
+  if (!ParseQuantiles(args.extra, &qs)) return Usage();
   auto connected =
       dd::SketchClient::Connect(args.host, static_cast<uint16_t>(args.port));
   if (!connected.ok()) return Fail(connected.status().ToString());
   dd::SketchClient client = std::move(connected).value();
-  std::vector<double> qs;
-  for (const std::string& arg : args.extra) {
-    qs.push_back(std::strtod(arg.c_str(), nullptr));
-  }
-  if (qs.empty()) qs = {0.5, 0.75, 0.9, 0.95, 0.99, 0.999};
   auto values = client.Query(args.series, args.start, args.end, qs);
   if (!values.ok()) return Fail(values.status().ToString());
   for (size_t i = 0; i < qs.size(); ++i) {
@@ -498,8 +515,9 @@ int CmdRemoteQuery(int argc, char** argv) {
 
 int CmdRemoteStats(int argc, char** argv) {
   DurableArgs args;
-  if (!ParseDurableArgs(argc, argv, &args, /*require_data_dir=*/false)) {
-    return 1;
+  if (int rc = ParseDurableArgs(argc, argv, &args, /*require_data_dir=*/false);
+      rc != 0) {
+    return rc;
   }
   if (args.port <= 0 || args.port > 65535) {
     return Fail("--port is required (1-65535)");
@@ -510,107 +528,19 @@ int CmdRemoteStats(int argc, char** argv) {
   dd::SketchClient client = std::move(connected).value();
   auto stats = client.Stats();
   if (!stats.ok()) return Fail(stats.status().ToString());
-  const dd::StoreStats& s = stats.value();
-  // One key=value line per aggregate field, then one line per shard —
-  // grep-friendly for scripts (tests/smoke_sketchd.sh watches the shard
-  // epochs to observe background checkpoints). Field meanings are
-  // documented in docs/OPERATIONS.md.
-  std::printf("series %llu\n", static_cast<unsigned long long>(s.num_series));
-  std::printf("intervals %llu\n",
-              static_cast<unsigned long long>(s.num_intervals));
-  std::printf("bytes %llu\n", static_cast<unsigned long long>(s.size_in_bytes));
-  std::printf("wal_bytes %llu\n",
-              static_cast<unsigned long long>(s.wal_offset));
-  std::printf("epoch %llu\n", static_cast<unsigned long long>(s.epoch));
-  std::printf("batch_commits %llu\n",
-              static_cast<unsigned long long>(s.batch_commits));
-  std::printf("background_checkpoints %llu\n",
-              static_cast<unsigned long long>(s.background_checkpoints));
-  std::printf("connections_open %llu\n",
-              static_cast<unsigned long long>(s.connections_open));
-  std::printf("connections_accepted %llu\n",
-              static_cast<unsigned long long>(s.connections_accepted));
-  std::printf("connections_shed %llu\n",
-              static_cast<unsigned long long>(s.connections_shed));
-  std::printf("busy_rejections %llu\n",
-              static_cast<unsigned long long>(s.busy_rejections));
-  std::printf("staged_bytes %llu\n",
-              static_cast<unsigned long long>(s.staged_bytes));
-  // v5 replication: the server's role, its fencing state, and —
-  // depending on that role — shipping (primary) or applying (follower)
-  // progress.
-  std::printf("role %s\n", s.role == 1 ? "follower" : "primary");
-  std::printf("fence_token %llu\n",
-              static_cast<unsigned long long>(s.fence_token));
-  std::printf("fenced %llu\n", static_cast<unsigned long long>(s.fenced));
-  std::printf("repl_subscribers %llu\n",
-              static_cast<unsigned long long>(s.repl_subscribers));
-  std::printf("repl_shipped_bytes %llu\n",
-              static_cast<unsigned long long>(s.repl_shipped_bytes));
-  std::printf("repl_applied_bytes %llu\n",
-              static_cast<unsigned long long>(s.repl_applied_bytes));
-  std::printf("repl_connected %llu\n",
-              static_cast<unsigned long long>(s.repl_connected));
-  std::printf("repl_heartbeat_age_ms %llu\n",
-              static_cast<unsigned long long>(s.repl_heartbeat_age_ms));
-  // v4 self-instrumentation: one line per op with the server-side ack
-  // latency percentiles (microseconds; all zero when count is 0).
-  for (size_t i = 0; i < dd::kNumLatencyOps; ++i) {
-    const dd::OpLatencyStats& row = s.op_latencies[i];
-    std::printf("op_latency %s count=%llu p50_us=%.3f p90_us=%.3f "
-                "p99_us=%.3f p999_us=%.3f max_us=%.3f\n",
-                std::string(dd::LatencyOpName(static_cast<dd::LatencyOp>(i)))
-                    .c_str(),
-                static_cast<unsigned long long>(row.count), row.p50_us,
-                row.p90_us, row.p99_us, row.p999_us, row.max_us);
-  }
-  for (const dd::ShardStats& shard : s.shards) {
-    std::printf("shard %llu series=%llu wal_bytes=%llu epoch=%llu "
-                "commits=%llu bg_checkpoints=%llu\n",
-                static_cast<unsigned long long>(shard.shard),
-                static_cast<unsigned long long>(shard.num_series),
-                static_cast<unsigned long long>(shard.wal_bytes),
-                static_cast<unsigned long long>(shard.epoch),
-                static_cast<unsigned long long>(shard.batch_commits),
-                static_cast<unsigned long long>(shard.background_checkpoints));
-  }
-  // v6 rollup ladder: one line per resolution level, finest first
-  // (retention 0 = keep forever; rollup_merges counts folds *into* the
-  // level, so it stays 0 for the raw level).
-  for (size_t i = 0; i < s.levels.size(); ++i) {
-    const dd::LevelStatsRow& level = s.levels[i];
-    std::printf("level %zu interval_s=%llu retention_s=%llu intervals=%llu "
-                "rollup_merges=%llu bytes=%llu\n",
-                i, static_cast<unsigned long long>(level.interval_seconds),
-                static_cast<unsigned long long>(level.retention_seconds),
-                static_cast<unsigned long long>(level.num_intervals),
-                static_cast<unsigned long long>(level.rollup_merges),
-                static_cast<unsigned long long>(level.retained_bytes));
-  }
-  // v7 per-tag admission: one line per tag ledger — the guaranteed
-  // floor, the full borrowable budget, live staged bytes, refusals, the
-  // throttle controller's current borrow share (permille of the shared
-  // pool), and the tag's cumulative ack-latency percentiles.
-  for (const dd::TagStatsRow& tag : s.tags) {
-    std::printf("tag %s floor_bytes=%llu budget_bytes=%llu staged_bytes=%llu "
-                "busy_rejections=%llu share_permille=%llu count=%llu "
-                "p50_us=%.3f p99_us=%.3f p999_us=%.3f\n",
-                tag.tag.c_str(),
-                static_cast<unsigned long long>(tag.floor_bytes),
-                static_cast<unsigned long long>(tag.budget_bytes),
-                static_cast<unsigned long long>(tag.staged_bytes),
-                static_cast<unsigned long long>(tag.busy_rejections),
-                static_cast<unsigned long long>(tag.throttle_permille),
-                static_cast<unsigned long long>(tag.count), tag.p50_us,
-                tag.p99_us, tag.p999_us);
-  }
+  // Grep-friendly `name value` lines, then one line per row
+  // (tests/smoke_sketchd.sh watches the shard epochs to observe
+  // background checkpoints). docs/OPERATIONS.md documents every field.
+  const std::string text = dd::StatsText(stats.value());
+  std::fwrite(text.data(), 1, text.size(), stdout);
   return 0;
 }
 
 int CmdRemoteCompact(int argc, char** argv) {
   DurableArgs args;
-  if (!ParseDurableArgs(argc, argv, &args, /*require_data_dir=*/false)) {
-    return 1;
+  if (int rc = ParseDurableArgs(argc, argv, &args, /*require_data_dir=*/false);
+      rc != 0) {
+    return rc;
   }
   if (args.port <= 0 || args.port > 65535) {
     return Fail("--port is required (1-65535)");
@@ -633,8 +563,9 @@ int CmdRemoteCompact(int argc, char** argv) {
 
 int CmdRemotePromote(int argc, char** argv) {
   DurableArgs args;
-  if (!ParseDurableArgs(argc, argv, &args, /*require_data_dir=*/false)) {
-    return 1;
+  if (int rc = ParseDurableArgs(argc, argv, &args, /*require_data_dir=*/false);
+      rc != 0) {
+    return rc;
   }
   if (args.port <= 0 || args.port > 65535) {
     return Fail("--port is required (1-65535)");
@@ -668,30 +599,26 @@ int CmdRemoteStress(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : "";
+    bool parsed = true;
     if (arg == "--host") {
       host = value;
-      ++i;
     } else if (arg == "--port") {
-      port = std::atoi(value);
-      ++i;
+      parsed = ParseValue(arg, value, &port, 0, 65535);
     } else if (arg == "--series") {
       series = value;
-      ++i;
     } else if (arg == "--tag") {
       tag = value;
-      ++i;
     } else if (arg == "--idle-conns") {
-      idle_conns = std::atoi(value);
-      ++i;
+      parsed = ParseValue(arg, value, &idle_conns, 0);
     } else if (arg == "--hot-conns") {
-      hot_conns = std::atoi(value);
-      ++i;
+      parsed = ParseValue(arg, value, &hot_conns, 0);
     } else if (arg == "--count") {
-      count = std::atoll(value);
-      ++i;
+      parsed = ParseValue(arg, value, &count, 0LL);
     } else {
       return Fail("unknown flag: " + arg);
     }
+    if (!parsed) return Usage();
+    ++i;
   }
   if (port <= 0 || port > 65535) return Fail("--port is required (1-65535)");
 
@@ -774,9 +701,12 @@ bool HasDataDirFlag(int argc, char** argv) {
 int CmdGenerate(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string name = argv[0];
-  const size_t n = std::strtoull(argv[1], nullptr, 10);
-  const uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : dd::kDefaultSeed;
+  size_t n = 0;
+  uint64_t seed = dd::kDefaultSeed;
+  if (!ParseValue("N", argv[1], &n) ||
+      (argc > 2 && !ParseValue("SEED", argv[2], &seed))) {
+    return Usage();
+  }
   for (dd::DatasetId id :
        {dd::DatasetId::kPareto, dd::DatasetId::kSpan, dd::DatasetId::kPower,
         dd::DatasetId::kWebLatency}) {

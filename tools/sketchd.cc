@@ -14,8 +14,7 @@
 //           [--shards 0] [--commit-batch 64] [--commit-interval-us 0]
 //           [--checkpoint-wal-bytes 0] [--checkpoint-interval-s 0]
 //           [--event-loops 0] [--staged-bytes-budget 67108864]
-//           [--max-conn-inflight 1024] [--idle-timeout-s 300]
-//           [--stall-timeout-ms 10000]
+//           [--idle-timeout-s 300] [--stall-timeout-ms 10000]
 //           [--tag-budget tag=weight,..] [--tag-p99-target-us 0]
 //           [--rollup-levels 10s,1m,1h] [--retention 1h,1d,inf]
 //           [--port-file FILE] [--role primary|follower]
@@ -37,49 +36,28 @@
 // Talk to it with `ddsketch_cli remote-ingest / remote-query /
 // remote-stats`, or any SketchClient (src/server/client.h).
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include <unistd.h>
 
+#include "parse_number.h"
 #include "server/server.h"
 #include "util/file_io.h"
 
 namespace {
 
-/// Parses the whole of `text` as a T in [lo, hi] — the one parser behind
-/// every numeric flag. std::from_chars takes no leading whitespace, '+'
-/// or base prefix, and no '-' for an unsigned T; trailing characters,
-/// values T cannot hold and NaN are refused too.
-template <typename T>
-bool ParseNumber(std::string_view text, T lo, T hi, T* out) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end || !(value >= lo && value <= hi)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
+using dd::ParseNumber;
 
-/// ParseNumber for a flag's value in [0, hi]; on failure prints which
-/// flag and range it wanted.
+/// ParseArg for a flag's value in [0, hi].
 template <typename T>
 bool ParseFlag(const std::string& flag, const char* text, T* out,
                T hi = std::numeric_limits<T>::max()) {
-  if (ParseNumber<T>(text, 0, hi, out)) return true;
-  std::ostringstream range;
-  range << "[0, " << hi << "]";
-  std::fprintf(stderr, "sketchd: %s wants a number in %s, got '%s'\n",
-               flag.c_str(), range.str().c_str(), text);
-  return false;
+  return dd::ParseArg("sketchd", flag, text, T{0}, hi, out);
 }
 
 /// Parses "10s", "1m", "1h", "2d", or a bare second count into seconds.
@@ -197,8 +175,6 @@ void PrintUsage(std::FILE* out) {
       "                            staged but not yet durable; past it new\n"
       "                            records get BUSY; 0 = unlimited\n"
       "                            (default 67108864)\n"
-      "  --max-conn-inflight N     max records staged per connection at\n"
-      "                            once (default 1024)\n"
       "  --idle-timeout-s N        shed a connection idle for N seconds;\n"
       "                            0 = never (default 300)\n"
       "  --stall-timeout-ms N      shed a connection whose hello, frame, or\n"
@@ -287,8 +263,6 @@ int main(int argc, char** argv) {
       parsed = ParseFlag(arg, argv[++i], &options.event_loops);
     } else if (arg == "--staged-bytes-budget" && i + 1 < argc) {
       parsed = ParseFlag(arg, argv[++i], &options.staged_bytes_budget);
-    } else if (arg == "--max-conn-inflight" && i + 1 < argc) {
-      parsed = ParseFlag(arg, argv[++i], &options.max_conn_inflight);
     } else if (arg == "--idle-timeout-s" && i + 1 < argc) {
       parsed = ParseFlag(arg, argv[++i], &seconds, kMaxSeconds);
       options.idle_timeout_ms = seconds * 1000;
