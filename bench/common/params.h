@@ -49,8 +49,8 @@ inline bool FullScale() {
   return env != nullptr && env[0] == '1';
 }
 
-/// True when DD_BENCH_SMOKE=1: shrink the grids further (CI perf-smoke
-/// runs, which only track trends, not paper-scale curves).
+/// True when DD_BENCH_SMOKE=1: shrink the grids further (CI's perf
+/// checks, which compare ratios within one run, not paper-scale curves).
 inline bool SmokeScale() {
   const char* env = std::getenv("DD_BENCH_SMOKE");
   return env != nullptr && env[0] == '1';

@@ -58,9 +58,10 @@
 // single-shard ConcurrentDDSketch created at construction. A finished
 // run adds one (latency, count) pair per row it touches.
 //
-// QUERY / CHECKPOINT / STATS run on the loop thread. QUERY locks only
-// the owning shard's store_mu; CHECKPOINT and STATS walk the shards
-// one store_mu at a time, in shard order.
+// QUERY / CHECKPOINT / COMPACT / STATS / PROMOTE run on the loop
+// thread. QUERY locks only the owning shard's store_mu; CHECKPOINT,
+// COMPACT and STATS walk the shards one store_mu at a time, in shard
+// order.
 //
 // Replication (protocol v5, server/replication.h): a SUBSCRIBE request
 // hands the connection from its event loop to the ReplicationShipper,

@@ -142,6 +142,12 @@ Result<WalContents> ReadWal(std::string_view file_bytes, WalRead mode) {
     std::string_view body;
     uint32_t crc = 0;
     if (!len_status.ok()) {
+      // A crash can only cut a varint short. With a full varint's worth
+      // of bytes present the length can never parse: bit rot, which must
+      // not truncate away the acked records behind it.
+      if (in.remaining() >= static_cast<size_t>(kMaxVarintBytes)) {
+        return Status::Corruption("malformed WAL record length");
+      }
       torn = true;  // truncated varint at EOF
     } else if (body_len > kMaxRecordBytes) {
       return Status::Corruption("WAL record length implausibly large");

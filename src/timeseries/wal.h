@@ -23,7 +23,9 @@
 // Recovery semantics: a record whose frame runs past EOF is a torn tail
 // (the process died mid-append) — replay stops at the last complete
 // record and the tail is truncated away. A CRC mismatch or undecodable
-// body on a *complete* frame is bit rot and fails with Corruption. The
+// body on a *complete* frame is bit rot and fails with Corruption. So
+// does a length varint that does not end within kMaxVarintBytes (10)
+// bytes: a crash can only cut a varint short, which leaves fewer. The
 // strict mode used by validation and fuzz tests treats every anomaly,
 // including a torn tail, as Corruption.
 //

@@ -25,6 +25,7 @@
 #include "timeseries/snapshot.h"
 #include "timeseries/wal.h"
 #include "util/file_io.h"
+#include "util/varint.h"
 
 namespace dd {
 namespace {
@@ -476,6 +477,33 @@ TEST_F(DurabilityTest, BitRotInWalBodyFailsWithCorruption) {
   auto reopened = DurableSketchStore::Open(dir, Options());
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(DurabilityTest, UnterminatedRecordLengthFailsWithCorruption) {
+  // A crash can only cut a length varint short. Eleven bytes with the
+  // continuation bit set are bit rot, not a torn tail: recovery must
+  // refuse them and leave the log alone, not truncate it to the first
+  // record and lose the two acked records after it.
+  const std::string dir = Dir("badlength");
+  uint64_t second_frame = 0;
+  {
+    DurableSketchStore store = MustOpen(dir);
+    ASSERT_TRUE(store.IngestValue("s", 0, 1.0).ok());
+    second_frame = store.wal_offset();
+    ASSERT_TRUE(store.IngestValue("s", 1, 2.0).ok());
+    ASSERT_TRUE(store.IngestValue("s", 2, 3.0).ok());
+  }
+  const std::string wal_path = DurableSketchStore::WalPath(dir);
+  std::string bytes = ReadFile(wal_path);
+  ASSERT_GT(bytes.size(), second_frame + kMaxVarintBytes);
+  for (size_t i = second_frame; i <= second_frame + kMaxVarintBytes; ++i) {
+    bytes[i] = static_cast<char>(static_cast<uint8_t>(bytes[i]) | 0x80);
+  }
+  WriteFile(wal_path, bytes);
+  auto reopened = DurableSketchStore::Open(dir, Options());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(ReadFile(wal_path), bytes);
 }
 
 TEST_F(DurabilityTest, BitRotInSnapshotFailsWithCorruption) {

@@ -56,4 +56,21 @@ if "$CLI" query --data-dir "$WORK/ts" --series bad --start 0 --end 200 \
   echo "a refused ingest stored data"; exit 1
 fi
 
+# A stdin line parses whole or not at all: a fractional timestamp, a
+# third token and a number with a suffix are unparseable lines, skipped
+# and counted, never other numbers.
+printf '1.5 2.0\n7 3.0 junk\n2.5x\n' > "$WORK/junk.txt"
+"$CLI" ingest --data-dir "$WORK/ts" --series junk --timestamp 100 \
+  < "$WORK/junk.txt" 2> "$WORK/junk.err"
+grep -q "ingested 0 values into junk (3 unparseable lines)" "$WORK/junk.err" \
+  || { echo "ingest took malformed lines:"; cat "$WORK/junk.err"; exit 1; }
+if "$CLI" query --data-dir "$WORK/ts" --series junk --start 0 --end 200 \
+     > "$WORK/bad.txt" 2>&1; then
+  echo "unparseable lines stored data"; exit 1
+fi
+printf '1.5\n2.5x\n1 2\n' > "$WORK/junk.txt"
+"$CLI" build < "$WORK/junk.txt" > /dev/null 2> "$WORK/junk.err"
+grep -q "built sketch: 1 values (2 unparseable lines)" "$WORK/junk.err" \
+  || { echo "build took malformed lines:"; cat "$WORK/junk.err"; exit 1; }
+
 echo "smoke_cli OK"

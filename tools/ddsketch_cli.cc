@@ -3,6 +3,7 @@
 // Usage:
 //   ddsketch_cli build [--alpha A] [--buckets M] [--out FILE] < values.txt
 //       Reads one value per line from stdin, writes a serialized sketch.
+//       Any other line is skipped and counted as unparseable.
 //   ddsketch_cli query FILE [q1 q2 ...]
 //       Prints quantile estimates (default: p50 p75 p90 p95 p99 p99.9).
 //   ddsketch_cli merge OUT IN1 IN2 [IN3 ...]
@@ -23,8 +24,9 @@
 //                       [--alpha A] [--shards N] < values.txt
 //       Reads "value" or "timestamp value" lines from stdin and ingests
 //       them durably (plain values land at --timestamp, default 0), one
-//       fsync per 4096-line window. --shards N creates a fresh directory
-//       with N shards.
+//       fsync per 4096-line window. Any other line is skipped and counted
+//       as unparseable. --shards N creates a fresh directory with N
+//       shards.
 //   ddsketch_cli query --data-dir DIR --series NAME --start S --end E
 //                      [--alpha A] [q1 q2 ...]
 //       Quantiles of the merged sketch over [S, E).
@@ -56,9 +58,9 @@
 //   ddsketch_cli generate pareto 1000000 | ddsketch_cli build --out s.dds
 //   ddsketch_cli query s.dds 0.5 0.99
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -140,6 +142,31 @@ bool ParseQuantiles(const std::vector<std::string>& args,
   return true;
 }
 
+/// Parses one stdin line: a bare "value", or also "timestamp value" when
+/// `timestamp` is non-null (a bare value leaves it unchanged). The line is
+/// split on whitespace and each token must parse whole as a finite
+/// number, so "2.5x", "7 3.0 junk" and "nan" are unparseable lines, never
+/// other numbers. The timestamp parses as an integer: a double would
+/// round timestamps above 2^53 (e.g. epoch nanoseconds).
+bool ParseLine(std::string_view line, int64_t* timestamp, double* value) {
+  constexpr std::string_view kSpace = " \t\r\v\f";
+  std::string_view tokens[2];
+  size_t count = 0;
+  for (size_t i = line.find_first_not_of(kSpace);
+       i != std::string_view::npos; i = line.find_first_not_of(kSpace, i)) {
+    if (count == 2) return false;
+    const size_t end = std::min(line.find_first_of(kSpace, i), line.size());
+    tokens[count++] = line.substr(i, end - i);
+    i = end;
+  }
+  constexpr double kMax = std::numeric_limits<double>::max();
+  if (count == 1) return dd::ParseNumber(tokens[0], -kMax, kMax, value);
+  return count == 2 && timestamp != nullptr &&
+         dd::ParseNumber(tokens[0], std::numeric_limits<int64_t>::min(),
+                         std::numeric_limits<int64_t>::max(), timestamp) &&
+         dd::ParseNumber(tokens[1], -kMax, kMax, value);
+}
+
 dd::Result<dd::DDSketch> LoadSketch(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return dd::Status::InvalidArgument("cannot open " + path);
@@ -180,9 +207,8 @@ int CmdBuild(int argc, char** argv) {
   uint64_t lines = 0, bad = 0;
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
-    char* end = nullptr;
-    const double v = std::strtod(line.c_str(), &end);
-    if (end == line.c_str()) {
+    double v = 0;
+    if (!ParseLine(line, nullptr, &v)) {
       ++bad;
       continue;
     }
@@ -332,26 +358,6 @@ int ParseRemoteArgs(int argc, char** argv, DurableArgs* out) {
   return 0;
 }
 
-/// Parses one ingest stdin line — a bare "value" (lands at
-/// `default_timestamp`) or a "timestamp value" pair. Returns false on an
-/// unparseable line. The timestamp is re-parsed as an integer because
-/// strtod would round timestamps above 2^53 (e.g. epoch nanoseconds).
-bool ParseIngestLine(const std::string& line, int64_t default_timestamp,
-                     int64_t* timestamp, double* value) {
-  char* end = nullptr;
-  const double first = std::strtod(line.c_str(), &end);
-  if (end == line.c_str()) return false;
-  char* end2 = nullptr;
-  const double second = std::strtod(end, &end2);
-  *timestamp = default_timestamp;
-  *value = first;
-  if (end2 != end) {
-    *timestamp = std::strtoll(line.c_str(), nullptr, 10);
-    *value = second;
-  }
-  return true;
-}
-
 dd::Result<dd::ShardedDurableStore> OpenDurable(const DurableArgs& args) {
   dd::ShardedDurableStoreOptions options;
   options.durable.store.sketch.relative_accuracy = args.alpha;
@@ -389,8 +395,8 @@ int CmdIngest(int argc, char** argv) {
     dd::WalRecord record;
     record.type = dd::WalRecord::Type::kIngestValue;
     record.series = args.series;
-    if (!ParseIngestLine(line, args.timestamp, &record.timestamp,
-                         &record.value)) {
+    record.timestamp = args.timestamp;
+    if (!ParseLine(line, &record.timestamp, &record.value)) {
       ++bad;
       continue;
     }
@@ -471,9 +477,9 @@ int CmdRemoteIngest(int argc, char** argv) {
   };
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
-    int64_t ts = 0;
+    int64_t ts = args.timestamp;
     double value = 0;
-    if (!ParseIngestLine(line, args.timestamp, &ts, &value)) {
+    if (!ParseLine(line, &ts, &value)) {
       ++bad;
       continue;
     }
