@@ -173,19 +173,16 @@ Status SendAll(int fd, std::string_view data) {
 Status FramedConn::SendHello() { return SendAll(fd_, EncodeHello()); }
 
 Status FramedConn::ExpectHello() {
-  while (buffer_.size() < kHelloBytes) {
-    char buf[64];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(Errno("recv"));
+  for (;;) {
+    auto hello = TryConsumeHello();
+    if (!hello.ok()) return hello.status();
+    if (hello.value()) return Status::OK();
+    auto alive = RecvBlocking();
+    if (!alive.ok()) return alive.status();
+    if (!alive.value()) {
+      return Status::Corruption("connection closed during hello");
     }
-    if (n == 0) return Status::Corruption("connection closed during hello");
-    buffer_.append(buf, static_cast<size_t>(n));
   }
-  DD_RETURN_IF_ERROR(CheckHello(std::string_view(buffer_).substr(0, kHelloBytes)));
-  buffer_.erase(0, kHelloBytes);
-  return Status::OK();
 }
 
 Status FramedConn::WriteFrame(std::string_view frame) {
@@ -194,34 +191,46 @@ Status FramedConn::WriteFrame(std::string_view frame) {
 
 Result<std::string> FramedConn::ReadFrame() {
   for (;;) {
-    size_t frame_size = 0;
-    auto body = DecodeFrame(buffer_, &frame_size);
-    if (body.ok()) {
-      std::string out(body.value());
-      buffer_.erase(0, frame_size);
-      return out;
+    std::string_view body;
+    auto got = NextBufferedFrame(&body);
+    if (!got.ok()) return got.status();  // Corruption: CRC / absurd length
+    if (got.value()) return std::string(body);
+    auto alive = RecvBlocking();
+    if (!alive.ok()) return alive.status();
+    if (!alive.value()) {
+      if (buffered_read_bytes() == 0) {
+        return Status::OutOfRange("connection closed");
+      }
+      return Status::Corruption("connection closed mid-frame");
     }
-    if (body.status().code() != StatusCode::kOutOfRange) {
-      return body.status();  // Corruption: CRC mismatch / absurd length
-    }
+  }
+}
+
+void FramedConn::CompactRead() {
+  if (in_off_ > 0 && in_off_ >= in_.size() / 2) {
+    in_.erase(0, in_off_);
+    in_off_ = 0;
+  }
+}
+
+Result<bool> FramedConn::RecvBlocking() {
+  CompactRead();
+  for (;;) {
     char buf[1 << 16];
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Internal(Errno("recv"));
     }
-    if (n == 0) {
-      if (buffer_.empty()) {
-        return Status::OutOfRange("connection closed");
-      }
-      return Status::Corruption("connection closed mid-frame");
-    }
-    buffer_.append(buf, static_cast<size_t>(n));
+    if (n == 0) return false;
+    in_.append(buf, static_cast<size_t>(n));
+    return true;
   }
 }
 
 Result<bool> FramedConn::FillFromSocket(bool* got_bytes) {
   *got_bytes = false;
+  CompactRead();
   for (;;) {
     char buf[1 << 16];
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
@@ -231,29 +240,35 @@ Result<bool> FramedConn::FillFromSocket(bool* got_bytes) {
       return Status::Internal(Errno("recv"));
     }
     if (n == 0) return false;  // EOF
-    buffer_.append(buf, static_cast<size_t>(n));
+    in_.append(buf, static_cast<size_t>(n));
     *got_bytes = true;
   }
 }
 
 Result<bool> FramedConn::TryConsumeHello() {
-  if (buffer_.size() < kHelloBytes) return false;
+  if (buffered_read_bytes() < kHelloBytes) return false;
   DD_RETURN_IF_ERROR(
-      CheckHello(std::string_view(buffer_).substr(0, kHelloBytes)));
-  buffer_.erase(0, kHelloBytes);
+      CheckHello(std::string_view(in_).substr(in_off_, kHelloBytes)));
+  in_off_ += kHelloBytes;
   return true;
 }
 
-Result<bool> FramedConn::NextBufferedFrame(std::string* body) {
-  size_t frame_size = 0;
-  auto decoded = DecodeFrame(buffer_, &frame_size);
+Result<bool> FramedConn::PeekBufferedFrame(std::string_view* body) {
+  auto decoded =
+      DecodeFrame(std::string_view(in_).substr(in_off_), &peeked_size_);
   if (decoded.ok()) {
-    body->assign(decoded.value());
-    buffer_.erase(0, frame_size);
+    *body = decoded.value();
     return true;
   }
+  peeked_size_ = 0;
   if (decoded.status().code() == StatusCode::kOutOfRange) return false;
   return decoded.status();  // Corruption: CRC mismatch / absurd length
+}
+
+Result<bool> FramedConn::NextBufferedFrame(std::string_view* body) {
+  auto got = PeekBufferedFrame(body);
+  if (got.ok() && got.value()) ConsumePeekedFrame();
+  return got;
 }
 
 void FramedConn::QueueWrite(std::string_view bytes) {

@@ -11,6 +11,18 @@
 //     NextBufferedFrame parse only what is buffered, and QueueWrite /
 //     Flush buffer partial writes so a slow reader never blocks a loop
 //     thread.
+// Each direction has one parser: ExpectHello and ReadFrame are
+// TryConsumeHello and NextBufferedFrame plus a blocking recv.
+//
+// Reads happen in place. Consuming a hello or a frame only advances a
+// read offset; the consumed prefix is dropped at most once per fill
+// (FillFromSocket, or ReadFrame/ExpectHello's recv), and only once it
+// is at least half the buffer, as QueueWrite does on the output side.
+// So a buffered burst of n frames drains in O(n), and a frame body comes
+// back as a view into the buffer, valid until the next fill.
+// PeekBufferedFrame returns the next frame without consuming it: the
+// server uses it to stop an ingest run at a non-ingest frame and leave
+// that frame buffered for later.
 //
 // IPv4 only (the daemon binds 127.0.0.1 by default); writes use
 // MSG_NOSIGNAL so a peer that disappears surfaces as a Status instead
@@ -22,6 +34,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include <sys/epoll.h>
 
@@ -84,9 +97,10 @@ class FramedConn {
   /// Writes a fully-encoded frame (EncodeRequest/EncodeResponse output).
   Status WriteFrame(std::string_view frame);
 
-  /// Reads the next complete frame and returns its body (CRC already
-  /// verified). A clean EOF at a frame boundary fails with OutOfRange
-  /// ("connection closed"); an EOF mid-frame is Corruption.
+  /// Returns the next complete frame's body (CRC already verified),
+  /// buffered frames first, then reading the socket. A clean EOF at a
+  /// frame boundary fails with OutOfRange ("connection closed"); an EOF
+  /// mid-frame is Corruption.
   Result<std::string> ReadFrame();
 
   // --- non-blocking event-loop API (fd must be O_NONBLOCK) ---
@@ -107,10 +121,16 @@ class FramedConn {
   /// Incompatible on a bad hello.
   Result<bool> TryConsumeHello();
 
-  /// Splits the next complete frame body off the read buffer without
-  /// touching the socket. Returns false when only a frame prefix (or
-  /// nothing) is buffered; Corruption on a bad CRC / implausible length.
-  Result<bool> NextBufferedFrame(std::string* body);
+  /// Consumes the next complete frame in the read buffer without
+  /// touching the socket; *body views its body and is valid until the
+  /// next fill. Returns false when only a frame prefix (or nothing) is
+  /// buffered; Corruption on a bad CRC / implausible length.
+  Result<bool> NextBufferedFrame(std::string_view* body);
+
+  /// NextBufferedFrame without consuming: the frame stays the next one
+  /// read. ConsumePeekedFrame consumes it without decoding it again.
+  Result<bool> PeekBufferedFrame(std::string_view* body);
+  void ConsumePeekedFrame() { in_off_ += std::exchange(peeked_size_, 0); }
 
   /// Appends bytes to the write queue without touching the socket.
   void QueueWrite(std::string_view bytes);
@@ -125,14 +145,24 @@ class FramedConn {
     return out_.size() - out_off_;
   }
 
-  /// Bytes received but not yet parsed into frames.
-  size_t buffered_read_bytes() const noexcept { return buffer_.size(); }
+  /// Bytes received but not yet consumed as a hello or a frame.
+  size_t buffered_read_bytes() const noexcept {
+    return in_.size() - in_off_;
+  }
 
   int fd() const noexcept { return fd_; }
 
  private:
+  /// Drops the consumed prefix when it dominates the buffer; called
+  /// once before each fill, the point where views die anyway.
+  void CompactRead();
+  /// One blocking recv into the read buffer. False on EOF.
+  Result<bool> RecvBlocking();
+
   int fd_;
-  std::string buffer_;   // bytes received but not yet consumed
+  std::string in_;       // received bytes (in_off_ already consumed)
+  size_t in_off_ = 0;
+  size_t peeked_size_ = 0;  // frame size from the last PeekBufferedFrame
   std::string out_;      // queued write bytes (out_off_ already sent)
   size_t out_off_ = 0;
 };

@@ -1,20 +1,18 @@
 // sketchd wire protocol: the length-prefixed, CRC-framed binary format
 // spoken between SketchClient and SketchServer. Byte-exact layouts for
 // every frame live in docs/PROTOCOL.md; the encodings here reuse the
-// varint/fixed-width codecs (util/varint.h) and CRC-32C (util/crc32.h)
-// that frame the on-disk formats, and are pinned by the golden fixture
-// tests/golden/protocol_v7.bin.
+// varint/fixed-width codecs (util/varint.h) that the on-disk formats
+// use, and are pinned by the golden fixture tests/golden/protocol_v7.bin.
 //
 // Connection preamble: the client sends 5 hello bytes (magic "DDSP" +
 // version 0x07); the server validates them and echoes the same 5 bytes.
-// After the handshake both directions carry frames:
-//
-//   len   varint    body length in bytes (capped at 64 MiB)
-//   crc   fixed32   CRC-32C of the body bytes
-//   body  request or response payload (op byte first)
-//
-// — the same framing as a WAL record (timeseries/wal.h), so one CRC
-// discipline covers every byte the system writes to disk or socket.
+// After the handshake both directions carry frames of util/frame.h
+// (len varint + CRC-32C + body, body capped at 64 MiB), whose body is a
+// request or response payload, op byte first. EncodeFrame and
+// DecodeFrame are that module's, re-exported by this header: a WAL
+// record (timeseries/wal.h) is the same frame from the same code, so
+// one CRC discipline covers every byte the system writes to disk or
+// socket.
 //
 // This header is a pure codec: no sockets, no threads. Transport lives
 // in server/net.h, the daemon in server/server.h.
@@ -29,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/frame.h"
 #include "util/status.h"
 
 namespace dd {
@@ -52,10 +51,6 @@ namespace dd {
 inline constexpr char kProtocolMagic[4] = {'D', 'D', 'S', 'P'};
 inline constexpr uint8_t kProtocolVersion = 7;
 inline constexpr size_t kHelloBytes = sizeof(kProtocolMagic) + 1;
-
-/// Upper bound on one frame body; anything larger is corruption before
-/// the CRC is even checked (mirrors the WAL's record cap).
-inline constexpr uint64_t kMaxFrameBytes = uint64_t{1} << 26;  // 64 MiB
 
 /// The 5 hello bytes each side sends once at connection start.
 std::string EncodeHello();
@@ -241,17 +236,6 @@ struct Response {
   // the wire when code == kBusy and op is kIngest/kMerge; 0 = no hint.
   uint64_t retry_after_ms = 0;
 };
-
-/// Frames an already-encoded body: len varint + body CRC + body.
-std::string EncodeFrame(std::string_view body);
-
-/// Splits one frame off the front of `buffer`. On success returns the
-/// body (a view into `buffer`) and sets *frame_size to the bytes
-/// consumed. Fails with OutOfRange when the buffer holds only a frame
-/// prefix (read more and retry) and Corruption on a CRC mismatch or an
-/// implausible length.
-Result<std::string_view> DecodeFrame(std::string_view buffer,
-                                     size_t* frame_size);
 
 /// Encodes a complete framed request / response, ready to write.
 std::string EncodeRequest(const Request& request);

@@ -261,7 +261,7 @@ bool ReplicationShipper::QueueShipping(Subscriber* sub) {
 
 bool ReplicationShipper::ParseIncoming(Subscriber* sub,
                                        std::vector<uint64_t>* fences) {
-  std::string body;
+  std::string_view body;  // into the read buffer: decoded before any fill
   for (;;) {
     // An incomplete frame means "read more"; a bad one is a protocol
     // violation and the subscriber is cut off.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -30,16 +31,18 @@ bool IsIngestOp(Request::Op op) {
   return op == Request::Op::kIngest || op == Request::Op::kMerge;
 }
 
-WalRecord ToWalRecord(const Request& request) {
+/// Moves a decoded INGEST/MERGE into the record it is logged as: the
+/// series and payload bytes are decoded once and never copied after.
+WalRecord ToWalRecord(Request&& request) {
   WalRecord record;
-  record.series = request.series;
+  record.series = std::move(request.series);
   record.timestamp = request.timestamp;
   if (request.op == Request::Op::kIngest) {
     record.type = WalRecord::Type::kIngestValue;
     record.value = request.value;
   } else {
     record.type = WalRecord::Type::kIngestSketch;
-    record.payload = request.payload;
+    record.payload = std::move(request.payload);
   }
   return record;
 }
@@ -106,10 +109,11 @@ LatencyOp NonIngestLatencyOp(Request::Op op) {
 
 /// One staged pipelined run of INGEST/MERGE requests from a single
 /// connection. Heap-allocated and owned by the Conn; shard committers
-/// hold pointers into `entries` (sized once, never reallocated) and
-/// decrement `remaining`, and whichever committer finishes last posts
-/// the run back to `loop`. While a run is in flight its connection is
-/// not read — one run per connection at a time.
+/// hold pointers into `entries` (filled during collection, never
+/// reallocated once staged) and decrement `remaining`, and whichever
+/// committer finishes last posts the run back to `loop`. While a run is
+/// in flight its connection is not read — one run per connection at a
+/// time.
 struct SketchServer::IngestRun {
   EventLoop* loop = nullptr;
   Conn* conn = nullptr;
@@ -118,8 +122,10 @@ struct SketchServer::IngestRun {
   /// one buffered burst, so a per-entry stamp would add clock reads
   /// without adding information).
   TimePoint start{};
-  std::vector<Request> requests;
-  std::vector<PendingIngest> entries;  // parallel to requests
+  std::vector<PendingIngest> entries;  // in request order
+  // Collection grows `entries`; reallocation must move each record's
+  // bytes, not copy them.
+  static_assert(std::is_nothrow_move_constructible_v<PendingIngest>);
   /// Outstanding completions: one per staged entry, plus one staging
   /// sentinel held by the event loop until every entry is routed (so a
   /// committer can never see the count hit zero mid-staging).
@@ -143,11 +149,10 @@ struct SketchServer::Conn {
   /// (ledger id; 0 = "default" until a SET_TAG arrives).
   uint32_t tag_id = TagAdmissionLedger::kDefaultTagId;
   std::unique_ptr<IngestRun> run;  // staged run in flight (reads paused)
-  bool have_deferred = false;
-  std::string deferred_body;  // non-ingest frame parsed mid-run collection
-  /// When the deferred frame was parsed: its ack latency must include
-  /// the wait behind the run it deferred to.
-  TimePoint deferred_stamp{};
+  /// When the non-ingest frame that stopped the last run's collection
+  /// was framed; zero when no such frame waits at the head of the read
+  /// buffer. Its ack latency must include the wait behind the run.
+  TimePoint left_behind_stamp{};
   TimePoint last_activity{};
   /// Deadline for the pending unit of I/O (hello, partial frame, unread
   /// responses) to COMPLETE. Armed when the unit starts; byte-at-a-time
@@ -379,22 +384,19 @@ class SketchServer::EventLoop {
         FlushConn(c);
         continue;
       }
-      std::string body;
-      TimePoint unit_start;  // instrumentation: request fully framed
-      if (c->have_deferred) {
-        body = std::move(c->deferred_body);
-        c->have_deferred = false;
-        unit_start = c->deferred_stamp;
-      } else {
-        auto got = c->io.NextBufferedFrame(&body);
-        if (!got.ok()) {
-          CloseConn(c, true);  // corrupt frame / implausible length
-          return;
-        }
-        if (!got.value()) return;  // only a frame prefix buffered
-        c->stall_deadline = {};    // a unit completed; restart the clock
-        unit_start = Clock::now();
+      std::string_view body;  // into the read buffer; no fill below
+      auto got = c->io.NextBufferedFrame(&body);
+      if (!got.ok()) {
+        CloseConn(c, true);  // corrupt frame / implausible length
+        return;
       }
+      if (!got.value()) return;  // only a frame prefix buffered
+      c->stall_deadline = {};    // a unit completed; restart the clock
+      // Instrumentation: when the request was fully framed.
+      const TimePoint unit_start =
+          c->left_behind_stamp != TimePoint{}
+              ? std::exchange(c->left_behind_stamp, TimePoint{})
+              : Clock::now();
       auto request = DecodeRequest(body);
       if (!request.ok()) {
         CloseConn(c, true);  // CRC passed but body malformed: broken peer
@@ -448,10 +450,11 @@ class SketchServer::EventLoop {
       run->loop = this;
       run->conn = c;
       run->start = unit_start;
-      run->requests.push_back(std::move(request).value());
-      while (run->requests.size() < run_cap) {
-        std::string next;
-        auto more = c->io.NextBufferedFrame(&next);
+      run->entries.emplace_back().record =
+          ToWalRecord(std::move(request).value());
+      while (run->entries.size() < run_cap) {
+        std::string_view next;
+        auto more = c->io.PeekBufferedFrame(&next);
         if (!more.ok()) {
           CloseConn(c, true);
           return;
@@ -464,13 +467,14 @@ class SketchServer::EventLoop {
           return;
         }
         if (!IsIngestOp(next_request.value().op)) {
-          // Handle it after the run; keeps responses in request order.
-          c->deferred_body = std::move(next);
-          c->have_deferred = true;
-          c->deferred_stamp = Clock::now();
+          // Leave it buffered and handle it after the run; keeps
+          // responses in request order.
+          c->left_behind_stamp = Clock::now();
           break;
         }
-        run->requests.push_back(std::move(next_request).value());
+        c->io.ConsumePeekedFrame();
+        run->entries.emplace_back().record =
+            ToWalRecord(std::move(next_request).value());
       }
       c->run = std::move(run);
       if (server_->StageIngestRun(c->run.get())) {
@@ -483,12 +487,12 @@ class SketchServer::EventLoop {
   /// SUBSCRIBE: validate, then hand the socket to the replication
   /// shipper. An OK subscribe takes the connection out of
   /// request/response mode for good, so it must be quiescent — nothing
-  /// else buffered in either direction, no deferred frame, no EOF.
+  /// else buffered in either direction, no EOF.
   void HandleSubscribe(Conn* c, const Request& request, TimePoint unit_start) {
     Response response = server_->PrepareSubscribe(request);
     if (response.code == StatusCode::kOk &&
         (c->io.buffered_read_bytes() > 0 || c->io.pending_write_bytes() > 0 ||
-         c->have_deferred || c->saw_eof)) {
+         c->saw_eof)) {
       response = Response{};
       response.op = Request::Op::kSubscribe;
       response.code = StatusCode::kInvalidArgument;
@@ -536,20 +540,23 @@ class SketchServer::EventLoop {
     // max as an Add per entry.
     uint64_t per_op[kNumLatencyOps] = {};
     uint64_t acked = 0;
-    for (size_t i = 0; i < run->requests.size(); ++i) {
+    for (const PendingIngest& entry : run->entries) {
       Response response;
-      response.op = run->requests[i].op;
-      response.code = run->entries[i].result.code();
-      response.message = run->entries[i].result.message();
-      response.wal_offset = run->entries[i].wal_offset;
-      response.retry_after_ms = run->entries[i].retry_after_ms;
+      // The committer moved the record's bytes out; its type stays.
+      response.op = entry.record.type == WalRecord::Type::kIngestValue
+                        ? Request::Op::kIngest
+                        : Request::Op::kMerge;
+      response.code = entry.result.code();
+      response.message = entry.result.message();
+      response.wal_offset = entry.wal_offset;
+      response.retry_after_ms = entry.retry_after_ms;
       out += EncodeResponse(response);
       // A BUSY refusal's ack is the cost of saying no, not an ingest
       // latency; it gets its own row. Only committed entries count as
       // acked for the tag sketch — a validation failure's round trip
       // would skew the p99 the throttle controller judges by.
       const bool busy = response.code == StatusCode::kBusy;
-      if (run->entries[i].result.ok()) ++acked;
+      if (entry.result.ok()) ++acked;
       ++per_op[static_cast<size_t>(
           busy ? LatencyOp::kBusy
                : (response.op == Request::Op::kIngest ? LatencyOp::kIngest
@@ -857,8 +864,7 @@ uint64_t SketchServer::background_checkpoints() const noexcept {
 }
 
 bool SketchServer::StageIngestRun(IngestRun* run) {
-  const size_t n = run->requests.size();
-  run->entries.resize(n);  // address-stable from here on
+  const size_t n = run->entries.size();  // address-stable from here on
   // A follower or fenced ex-primary refuses every write up front,
   // before validation or admission (mirrors the BUSY refusal shape:
   // never staged, never acknowledged). The durable gate in the store
@@ -877,7 +883,6 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
   for (size_t i = 0; i < n; ++i) {
     PendingIngest& entry = run->entries[i];
     entry.run = run;
-    entry.record = ToWalRecord(run->requests[i]);
     // Validation reads only the store's immutable configuration
     // (prototype sketch parameters), so it runs lock-free on the loop
     // thread — a bad request is rejected here and never poisons or
@@ -1177,7 +1182,9 @@ void SketchServer::CommitOneBatch(size_t shard_index,
   if (status.ok()) {
     std::vector<WalRecord> records;
     records.reserve(batch.size());
-    for (PendingIngest* pending : batch) records.push_back(pending->record);
+    for (PendingIngest* pending : batch) {
+      records.push_back(std::move(pending->record));
+    }
     std::lock_guard<std::mutex> store_lk(shard.store_mu);
     status = store_->shard(shard_index).IngestBatch(records);
     offset = store_->shard(shard_index).wal_offset();

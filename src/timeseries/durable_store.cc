@@ -16,6 +16,7 @@
 #include "core/ddsketch.h"
 #include "timeseries/snapshot.h"
 #include "util/file_io.h"
+#include "util/frame.h"
 
 namespace dd {
 namespace {
@@ -378,28 +379,28 @@ Status DurableSketchStore::CheckWritable() const {
   return Status::OK();
 }
 
-Status DurableSketchStore::PersistFenceState() {
-  return lock_.Write(EncodeFenceState(fence_token_, fenced_));
-}
-
 Status DurableSketchStore::Fence(uint64_t observed_token) {
   if (fenced_ && observed_token <= fence_token_) return Status::OK();
+  // Refuse writes in memory first: if the LOCK write fails, this
+  // process still stays fenced.
   fence_token_ = std::max(fence_token_, observed_token);
   fenced_ = true;
-  return PersistFenceState();
+  return lock_.Write(EncodeFenceState(fence_token_, fenced_));
 }
 
 Status DurableSketchStore::AdoptFenceToken(uint64_t token) {
   if (token <= fence_token_) return Status::OK();
+  DD_RETURN_IF_ERROR(lock_.Write(EncodeFenceState(token, fenced_)));
   fence_token_ = token;
-  return PersistFenceState();
+  return Status::OK();
 }
 
 Result<uint64_t> DurableSketchStore::Promote() {
-  fence_token_ += 1;
-  fenced_ = false;
-  role_ = StoreRole::kPrimary;
-  DD_RETURN_IF_ERROR(PersistFenceState());
+  // Memory changes only after every durable step has landed: a failed
+  // promotion leaves the store exactly as writable (or not) as before,
+  // and a retry asks for the same token.
+  const uint64_t token = fence_token_ + 1;
+  DD_RETURN_IF_ERROR(lock_.Write(EncodeFenceState(token, /*fenced=*/false)));
   // Start the new lineage in a fresh WAL epoch before the first write
   // lands: a deposed primary's resume position (same epoch, offset at
   // or below ours) would otherwise pass the shipper's tail check even
@@ -408,7 +409,10 @@ Result<uint64_t> DurableSketchStore::Promote() {
   // takes the snapshot path, which discards that suffix.
   DD_RETURN_IF_ERROR(CheckpointUnguarded());
   prior_epoch_end_ = 0;  // lineage break: never roll across a promotion
-  return fence_token_;
+  fence_token_ = token;
+  fenced_ = false;
+  role_ = StoreRole::kPrimary;
+  return token;
 }
 
 std::string DurableSketchStore::EncodeReplicationSnapshot() const {
@@ -425,33 +429,41 @@ Result<std::string> DurableSketchStore::ReadWalChunk(
   if (from_offset == end) return std::string();
   // A frame header (len varint + crc) is at most 14 bytes; always read
   // enough to at least parse the first frame's length.
-  const uint64_t want =
-      std::min<uint64_t>(std::max<uint64_t>(max_bytes, 64),
-                         end - from_offset);
-  auto chunk = PreadRange(WalPath(data_dir_), from_offset, want);
-  if (!chunk.ok()) return chunk.status();
-  if (chunk.value().size() < want) {
-    return Status::Internal("WAL shrank during replication read");
-  }
-  // Trim to the last complete record frame. Every byte below
-  // wal_offset() belongs to a complete record, so a frame split by the
-  // byte cap is simply re-read whole.
-  uint64_t first_frame = 0;
-  size_t valid = CompleteFramePrefix(chunk.value(), &first_frame);
-  if (valid == 0) {
-    if (first_frame == 0 || from_offset + first_frame > end) {
-      return Status::Internal("WAL byte range does not parse as records");
-    }
-    chunk = PreadRange(WalPath(data_dir_), from_offset, first_frame);
+  uint64_t want = std::min<uint64_t>(std::max<uint64_t>(max_bytes, 64),
+                                     end - from_offset);
+  for (;;) {
+    auto chunk = PreadRange(WalPath(data_dir_), from_offset, want);
     if (!chunk.ok()) return chunk.status();
-    valid = CompleteFramePrefix(chunk.value(), &first_frame);
-    if (valid != chunk.value().size()) {
+    if (chunk.value().size() < want) {
       return Status::Internal("WAL shrank during replication read");
     }
+    // Trim to the last whole record frame, checking each frame's CRC on
+    // the way: a corrupt record is never shipped.
+    size_t valid = 0;
+    size_t frame_size = 0;
+    for (;;) {
+      auto body = DecodeFrame(
+          std::string_view(chunk.value()).substr(valid), &frame_size);
+      if (!body.ok()) {
+        if (body.status().code() != StatusCode::kOutOfRange) {
+          return body.status();
+        }
+        break;
+      }
+      valid += frame_size;
+    }
+    if (valid > 0) {
+      chunk.value().resize(valid);
+      return chunk;
+    }
+    // The first record is longer than `want`. Every byte below
+    // wal_offset() belongs to a complete record, and DecodeFrame
+    // reported this one's whole size: read it whole.
+    if (frame_size <= want || from_offset + frame_size > end) {
+      return Status::Internal("WAL byte range does not parse as records");
+    }
+    want = frame_size;
   }
-  std::string bytes = std::move(chunk).value();
-  bytes.resize(valid);
-  return bytes;
 }
 
 Status DurableSketchStore::InstallReplicatedSnapshot(

@@ -149,12 +149,16 @@ class DurableSketchStore {
   Status Fence(uint64_t observed_token);
 
   /// Adopts the primary's token on a follower (never lowers ours, never
-  /// fences).
+  /// fences). The token changes in memory only once the LOCK write has
+  /// landed.
   Status AdoptFenceToken(uint64_t token);
 
-  /// Become the (new) primary: bump the fencing token past every token
-  /// ever observed here, clear the fenced flag, flip the role to
-  /// kPrimary, persist, then checkpoint. The checkpoint bumps the WAL
+  /// Become the (new) primary: persist a fencing token one past every
+  /// token ever observed here with the fenced flag clear, checkpoint,
+  /// and only then bump the token, clear the flag and flip the role to
+  /// kPrimary in memory — so a promotion that fails at either durable
+  /// step leaves the store as it was (still refusing writes), and a
+  /// retry asks for the same token. The checkpoint bumps the WAL
   /// epoch, so every stream position handed out by the old lineage —
   /// including a deposed primary's own WAL, which may hold a durable
   /// suffix this store never received — mismatches the new log and
@@ -182,7 +186,9 @@ class DurableSketchStore {
   /// `from_offset` (which must be a record boundary: kWalHeaderBytes or
   /// an offset previously returned past). At most ~`max_bytes`, but the
   /// result always ends on a record boundary — a single record larger
-  /// than the cap is returned whole. Empty when already caught up.
+  /// than the cap is returned whole. Every returned frame's CRC has been
+  /// checked (a corrupt record fails with Corruption instead of
+  /// shipping). Empty when already caught up.
   Result<std::string> ReadWalChunk(uint64_t from_offset,
                                    uint64_t max_bytes) const;
 
@@ -275,7 +281,6 @@ class DurableSketchStore {
   /// Checkpoint without the writability gate (the follower's own
   /// checkpoint when the primary's stream crosses an epoch).
   Status CheckpointUnguarded();
-  Status PersistFenceState();
 
   DurableSketchStoreOptions options_;
   std::string data_dir_;

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/crc32.h"
+#include "util/frame.h"
 #include "util/varint.h"
 
 namespace dd {
@@ -10,10 +11,6 @@ namespace {
 
 constexpr char kMagic[4] = {'D', 'D', 'W', 'L'};
 constexpr uint8_t kVersion = 1;
-
-// Upper bound on one record body; real records are a few KB (one worker
-// sketch), so anything larger is corruption even before the CRC check.
-constexpr uint64_t kMaxRecordBytes = uint64_t{1} << 26;  // 64 MiB
 
 Status DecodeBody(std::string_view body, WalRecord* record) {
   Slice in(body);
@@ -54,6 +51,28 @@ Status DecodeBody(std::string_view body, WalRecord* record) {
   return Status::OK();
 }
 
+/// The one record loop: decodes the whole frames at the front of `bytes`
+/// into *records and returns the bytes they span. It stops before an
+/// incomplete last frame, which the caller judges (a torn tail, or
+/// Corruption in strict mode); a corrupt frame or body fails.
+Result<size_t> DecodeFramedRecords(std::string_view bytes,
+                                   std::vector<WalRecord>* records) {
+  size_t consumed = 0;
+  while (consumed < bytes.size()) {
+    size_t frame_size = 0;
+    auto body = DecodeFrame(bytes.substr(consumed), &frame_size);
+    if (!body.ok()) {
+      if (body.status().code() == StatusCode::kOutOfRange) break;
+      return body.status();
+    }
+    WalRecord record;
+    DD_RETURN_IF_ERROR(DecodeBody(body.value(), &record));
+    records->push_back(std::move(record));
+    consumed += frame_size;
+  }
+  return consumed;
+}
+
 }  // namespace
 
 // magic + version + fixed32 epoch + fixed32 crc.
@@ -91,12 +110,7 @@ std::string EncodeWalRecord(const WalRecord& record) {
   } else {
     PutFixedDouble(&body, record.value);
   }
-  std::string framed;
-  framed.reserve(body.size() + kMaxVarintBytes + sizeof(uint32_t));
-  PutVarint64(&framed, body.size());
-  PutFixed32(&framed, Crc32c(body));
-  framed.append(body);
-  return framed;
+  return EncodeFrame(body);
 }
 
 Result<WalContents> ReadWal(std::string_view file_bytes, WalRead mode) {
@@ -131,97 +145,27 @@ Result<WalContents> ReadWal(std::string_view file_bytes, WalRead mode) {
       Crc32c(file_bytes.substr(0, kHeaderBytes - sizeof(uint32_t)))) {
     return Status::Corruption("WAL header checksum mismatch");
   }
-  contents.valid_size = kHeaderBytes;
-
-  while (!in.empty()) {
-    // Frame parse: distinguish "runs past EOF" (torn tail) from bit rot.
-    Slice frame = in;
-    uint64_t body_len = 0;
-    const Status len_status = frame.GetVarint64(&body_len);
-    bool torn = false;
-    std::string_view body;
-    uint32_t crc = 0;
-    if (!len_status.ok()) {
-      // A crash can only cut a varint short. With a full varint's worth
-      // of bytes present the length can never parse: bit rot, which must
-      // not truncate away the acked records behind it.
-      if (in.remaining() >= static_cast<size_t>(kMaxVarintBytes)) {
-        return Status::Corruption("malformed WAL record length");
-      }
-      torn = true;  // truncated varint at EOF
-    } else if (body_len > kMaxRecordBytes) {
-      return Status::Corruption("WAL record length implausibly large");
-    } else if (!frame.GetFixed32(&crc).ok() ||
-               !frame.GetBytes(body_len, &body).ok()) {
-      torn = true;  // frame extends past EOF
+  auto records = DecodeFramedRecords(file_bytes.substr(kHeaderBytes),
+                                     &contents.records);
+  if (!records.ok()) return records.status();
+  contents.valid_size = kHeaderBytes + records.value();
+  if (contents.valid_size < file_bytes.size()) {
+    if (mode == WalRead::kStrict) {
+      return Status::Corruption("truncated WAL record");
     }
-    if (torn) {
-      if (mode == WalRead::kStrict) {
-        return Status::Corruption("truncated WAL record");
-      }
-      contents.torn_tail = true;
-      break;
-    }
-    if (crc != Crc32c(body)) {
-      return Status::Corruption("WAL record checksum mismatch");
-    }
-    WalRecord record;
-    DD_RETURN_IF_ERROR(DecodeBody(body, &record));
-    contents.records.push_back(std::move(record));
-    in = frame;
-    contents.valid_size = file_bytes.size() - in.remaining();
+    contents.torn_tail = true;
   }
   return contents;
 }
 
 Result<std::vector<WalRecord>> DecodeWalSegment(std::string_view bytes) {
   std::vector<WalRecord> records;
-  Slice in(bytes);
-  while (!in.empty()) {
-    uint64_t body_len = 0;
-    if (!in.GetVarint64(&body_len).ok()) {
-      return Status::Corruption("truncated record frame in WAL segment");
-    }
-    if (body_len > kMaxRecordBytes) {
-      return Status::Corruption("WAL segment record length implausibly large");
-    }
-    uint32_t crc = 0;
-    std::string_view body;
-    if (!in.GetFixed32(&crc).ok() || !in.GetBytes(body_len, &body).ok()) {
-      return Status::Corruption("truncated record frame in WAL segment");
-    }
-    if (crc != Crc32c(body)) {
-      return Status::Corruption("WAL segment record checksum mismatch");
-    }
-    WalRecord record;
-    DD_RETURN_IF_ERROR(DecodeBody(body, &record));
-    records.push_back(std::move(record));
+  auto decoded = DecodeFramedRecords(bytes, &records);
+  if (!decoded.ok()) return decoded.status();
+  if (decoded.value() < bytes.size()) {
+    return Status::Corruption("truncated record frame in WAL segment");
   }
   return records;
-}
-
-size_t CompleteFramePrefix(std::string_view bytes,
-                           uint64_t* split_frame_size) {
-  *split_frame_size = 0;
-  Slice in(bytes);
-  size_t valid = 0;
-  while (!in.empty()) {
-    Slice frame = in;
-    uint64_t body_len = 0;
-    if (!frame.GetVarint64(&body_len).ok() || body_len > kMaxRecordBytes) {
-      break;
-    }
-    const uint64_t len_bytes = in.remaining() - frame.remaining();
-    uint32_t crc = 0;
-    std::string_view body;
-    if (!frame.GetFixed32(&crc).ok() || !frame.GetBytes(body_len, &body).ok()) {
-      *split_frame_size = len_bytes + sizeof(uint32_t) + body_len;
-      break;
-    }
-    in = frame;
-    valid = bytes.size() - in.remaining();
-  }
-  return valid;
 }
 
 Result<WalContents> ReadWalFile(const std::string& path, WalRead mode) {

@@ -9,9 +9,9 @@
 //     version   1 byte   0x01
 //     epoch     fixed32  checkpoint generation this log belongs to
 //     crc       fixed32  CRC-32C of the preceding header bytes
-//   record (repeated until EOF):
-//     len       varint   body length in bytes
-//     crc       fixed32  CRC-32C of the body bytes
+//   record (repeated until EOF): one util/frame.h frame (len varint +
+//   CRC-32C of the body + body), encoded and decoded by that module —
+//   the same frame, from the same code, as a sketchd socket frame.
 //     body:
 //       type    1 byte   1 = serialized-sketch ingest, 2 = single value
 //       series  varint length + bytes
@@ -20,14 +20,15 @@
 //               core/serialization.cc)
 //       type 2: value    fixed64 little-endian double
 //
-// Recovery semantics: a record whose frame runs past EOF is a torn tail
-// (the process died mid-append) — replay stops at the last complete
-// record and the tail is truncated away. A CRC mismatch or undecodable
-// body on a *complete* frame is bit rot and fails with Corruption. So
-// does a length varint that does not end within kMaxVarintBytes (10)
-// bytes: a crash can only cut a varint short, which leaves fewer. The
-// strict mode used by validation and fuzz tests treats every anomaly,
-// including a torn tail, as Corruption.
+// Recovery semantics: a record whose frame runs past EOF (DecodeFrame
+// reports it incomplete) is a torn tail (the process died mid-append) —
+// replay stops at the last complete record and the tail is truncated
+// away. Whatever DecodeFrame calls Corruption — a CRC mismatch, a length
+// above 64 MiB, a length varint that does not end within kMaxVarintBytes
+// (10) bytes (a crash can only cut a varint short, which leaves fewer) —
+// fails with Corruption, and so does an undecodable body. The strict
+// mode used by validation and fuzz tests treats every anomaly, including
+// a torn tail, as Corruption.
 //
 // The epoch ties a log to its snapshot (timeseries/snapshot.h): a
 // checkpoint writes a snapshot carrying the log's epoch, then resets the
@@ -104,17 +105,8 @@ Result<WalContents> ReadWalFile(const std::string& path, WalRead mode);
 /// record boundary onward (server/replication.h). Strict: segments are
 /// CRC-protected end to end by the network frame, so any anomaly
 /// (truncated frame, bad record CRC, undecodable body) is Corruption.
+/// Shares ReadWal's record loop.
 Result<std::vector<WalRecord>> DecodeWalSegment(std::string_view bytes);
-
-/// Length of the longest prefix of `bytes` made of complete record
-/// frames (no CRC or body validation — boundary arithmetic only). When
-/// the prefix stops at a frame whose length header parses but whose body
-/// runs past the end, *split_frame_size receives that frame's total
-/// framed size (0 otherwise). The replication shipper uses this to trim
-/// a byte-capped WAL read to a record boundary, re-reading a split frame
-/// whole.
-size_t CompleteFramePrefix(std::string_view bytes,
-                           uint64_t* split_frame_size);
 
 /// Appends framed records to a log file. Creation writes the header
 /// durably; each Append pushes the record to the OS (process-crash safe)

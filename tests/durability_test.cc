@@ -84,23 +84,28 @@ class DurabilityTest : public ::testing::Test {
     return fs::file_size(DurableSketchStore::WalPath(dir));
   }
 
-  /// Runs `write` as if the disk filled up a few bytes into the WAL's
-  /// next record: the process file-size limit sits just past the log's
-  /// current size (with SIGXFSZ ignored, a write beyond it fails with
-  /// EFBIG after writing what fits). The limit and the handler are
-  /// restored right after the call.
+  /// Runs `write` as if the disk filled up at `cap` bytes: the process
+  /// file-size limit is `cap` for the call (with SIGXFSZ ignored, a
+  /// write past it fails with EFBIG after writing what fits, in any
+  /// file). The limit and the handler are restored right after the call.
   template <typename Write>
-  static Status WithWalCapped(const std::string& dir, Write write) {
+  static Status WithFileSizeCap(uint64_t cap, Write write) {
     struct rlimit saved;
     EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
     struct rlimit capped = saved;
-    capped.rlim_cur = WalFileSize(dir) + 5;
+    capped.rlim_cur = cap;
     const auto handler = std::signal(SIGXFSZ, SIG_IGN);
     EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
     const Status status = write();
     EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
     std::signal(SIGXFSZ, handler);
     return status;
+  }
+
+  /// WithFileSizeCap a few bytes into the WAL's next record.
+  template <typename Write>
+  static Status WithWalCapped(const std::string& dir, Write write) {
+    return WithFileSizeCap(WalFileSize(dir) + 5, write);
   }
 
   /// A group-commit batch whose sum only an in-order merge reproduces:
@@ -765,6 +770,94 @@ TEST_F(DurabilityTest, FailedReplicatedApplyIsTruncated) {
   auto reopened = DurableSketchStore::Open(follower_dir, FollowerOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(SnapshotBytes(reopened.value()), SnapshotBytes(primary));
+}
+
+TEST_F(DurabilityTest, FailedPromotionLeavesTheStoreAsItWas) {
+  // Every durable step of a promotion must land before the store turns
+  // writable: a failed LOCK write or checkpoint leaves a follower that
+  // still refuses writes, with its old token, and a retry asks for the
+  // same token. A 4-byte file-size cap fails the LOCK rewrite; a cap of
+  // exactly the new LOCK's size lets it land and fails the checkpoint's
+  // snapshot write.
+  const std::string dir = Dir("promote");
+  const std::string promoted_lock = "fence=2\nfenced=0\n";
+  {
+    auto opened = DurableSketchStore::Open(dir, FollowerOptions());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DurableSketchStore& store = opened.value();
+    const auto expect_unchanged = [&](const char* step) {
+      EXPECT_EQ(store.role(), StoreRole::kFollower) << step;
+      EXPECT_TRUE(store.writes_fenced()) << step;
+      EXPECT_EQ(store.fence_token(), 1u) << step;
+      EXPECT_EQ(store.IngestValue("s", 5, 1.0).code(), StatusCode::kFenced)
+          << step;
+    };
+    EXPECT_FALSE(
+        WithFileSizeCap(4, [&] { return store.AdoptFenceToken(7); }).ok());
+    expect_unchanged("AdoptFenceToken, LOCK write failed");
+    EXPECT_FALSE(
+        WithFileSizeCap(4, [&] { return store.Promote().status(); }).ok());
+    expect_unchanged("Promote, LOCK write failed");
+    EXPECT_FALSE(WithFileSizeCap(promoted_lock.size(), [&] {
+                   return store.Promote().status();
+                 }).ok());
+    EXPECT_EQ(ReadFile(DurableSketchStore::LockPath(dir)), promoted_lock);
+    expect_unchanged("Promote, checkpoint failed");
+
+    auto promoted = store.Promote();
+    ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+    EXPECT_EQ(promoted.value(), 2u);
+    EXPECT_EQ(store.role(), StoreRole::kPrimary);
+    EXPECT_FALSE(store.writes_fenced());
+    EXPECT_TRUE(store.IngestValue("s", 5, 1.0).ok());
+  }
+  auto reopened = DurableSketchStore::Open(dir, Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().fence_token(), 2u);
+}
+
+TEST_F(DurabilityTest, ReadWalChunkEndsOnWholeRecordsUnderEveryCap) {
+  // The shipper reads the WAL in byte-capped chunks. Each must end on a
+  // record boundary, a record longer than the cap must arrive whole,
+  // and the chunks must add up to the log.
+  const std::string dir = Dir("chunks");
+  DurableSketchStore store = MustOpen(dir);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(store.IngestValue("s", 5, i).ok());
+  auto sketch = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  for (int i = 1; i <= 3000; ++i) sketch.Add(i);
+  const std::string payload = sketch.Serialize();
+  ASSERT_GT(payload.size(), 500u);  // longer than every small cap below
+  ASSERT_TRUE(store.Ingest("s", 5, payload).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(store.IngestValue("s", 5, i).ok());
+  const std::string log =
+      ReadFile(DurableSketchStore::WalPath(dir)).substr(kWalHeaderBytes);
+
+  for (const uint64_t cap : {1, 30, 64, 100, 500, 1 << 20}) {
+    std::string shipped;
+    size_t chunks = 0;
+    bool sketch_arrived = false;
+    for (uint64_t offset = kWalHeaderBytes; offset < store.wal_offset();) {
+      auto chunk = store.ReadWalChunk(offset, cap);
+      ASSERT_TRUE(chunk.ok()) << "cap " << cap << ": "
+                              << chunk.status().ToString();
+      ASSERT_FALSE(chunk.value().empty()) << "cap " << cap;
+      auto records = DecodeWalSegment(chunk.value());
+      ASSERT_TRUE(records.ok()) << "cap " << cap << ": "
+                                << records.status().ToString();
+      for (const WalRecord& record : records.value()) {
+        if (record.type != WalRecord::Type::kIngestSketch) continue;
+        EXPECT_EQ(record.payload, payload) << "cap " << cap;
+        sketch_arrived = true;
+      }
+      shipped += chunk.value();
+      offset += chunk.value().size();
+      ++chunks;
+    }
+    EXPECT_TRUE(sketch_arrived) << "cap " << cap;
+    EXPECT_EQ(shipped, log) << "cap " << cap;
+    // Values before the sketch, the sketch alone, values after it.
+    EXPECT_EQ(chunks, cap < payload.size() ? 3u : 1u) << "cap " << cap;
+  }
 }
 
 TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {

@@ -1,7 +1,8 @@
 // Unit tests for the sketchd wire protocol codec (server/protocol.h):
 // round trips for every op, framing behavior (incomplete vs corrupt),
-// and strict rejection of malformed bodies — the same discipline the
-// on-disk formats get from fuzz_differential_test.
+// strict rejection of malformed bodies — the same discipline the
+// on-disk formats get from fuzz_differential_test — and FramedConn's
+// in-place reads over a socketpair.
 
 #include "server/protocol.h"
 
@@ -10,7 +11,11 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "core/ddsketch.h"
+#include "server/net.h"
 #include "util/crc32.h"
 
 namespace dd {
@@ -754,16 +759,24 @@ TEST(ProtocolTest, ErrorResponseCarriesStatus) {
 }
 
 TEST(ProtocolTest, DecodeFrameReportsIncompleteOnEveryPrefix) {
-  Request request;
-  request.op = Request::Op::kIngest;
-  request.series = "s";
-  request.value = 1.0;
-  const std::string frame = EncodeRequest(request);
-  for (size_t cut = 0; cut < frame.size(); ++cut) {
-    size_t frame_size = 0;
-    auto body = DecodeFrame(std::string_view(frame).substr(0, cut), &frame_size);
-    ASSERT_FALSE(body.ok()) << "cut=" << cut;
-    EXPECT_EQ(body.status().code(), StatusCode::kOutOfRange) << "cut=" << cut;
+  // A 1-byte and a 2-byte length varint. Once the length has arrived,
+  // an incomplete frame reports its whole size (the WAL shipper re-reads
+  // a record longer than its byte cap by it); before that, 0.
+  for (const size_t series_len : {1, 300}) {
+    Request request;
+    request.op = Request::Op::kIngest;
+    request.series = std::string(series_len, 's');
+    request.value = 1.0;
+    const std::string frame = EncodeRequest(request);
+    const size_t len_bytes = series_len == 1 ? 1 : 2;
+    for (size_t cut = 0; cut < frame.size(); ++cut) {
+      size_t frame_size = 12345;
+      auto body =
+          DecodeFrame(std::string_view(frame).substr(0, cut), &frame_size);
+      ASSERT_FALSE(body.ok()) << "cut=" << cut;
+      EXPECT_EQ(body.status().code(), StatusCode::kOutOfRange) << "cut=" << cut;
+      EXPECT_EQ(frame_size, cut < len_bytes ? 0 : frame.size()) << "cut=" << cut;
+    }
   }
 }
 
@@ -833,6 +846,154 @@ TEST(ProtocolTest, DecodeFrameConsumesOneFrameFromAStream) {
   auto decoded2 = DecodeRequest(body2.value());
   ASSERT_TRUE(decoded2.ok());
   EXPECT_EQ(decoded2.value().op, Request::Op::kCheckpoint);
+}
+
+/// Both ends of a connected stream socketpair, closed at scope exit.
+/// The FramedConn under test reads `read_fd`; `Send` writes raw bytes
+/// into `write_fd`.
+struct ConnPair {
+  ConnPair() {
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+    read_fd = fds[0];
+    write_fd = fds[1];
+  }
+  ~ConnPair() {
+    ::close(read_fd);
+    ::close(write_fd);
+  }
+  void Send(std::string_view bytes) {
+    ASSERT_TRUE(FramedConn(write_fd).WriteFrame(bytes).ok());
+  }
+  /// One non-blocking fill; bytes already sent are all there.
+  void Fill(FramedConn* conn) {
+    bool got = false;
+    auto alive = conn->FillFromSocket(&got);
+    ASSERT_TRUE(alive.ok()) << alive.status().ToString();
+    ASSERT_TRUE(alive.value());
+  }
+  int read_fd = -1;
+  int write_fd = -1;
+};
+
+/// An INGEST frame whose timestamp identifies it.
+std::string NumberedFrame(int64_t n) {
+  Request request;
+  request.op = Request::Op::kIngest;
+  request.series = "burst";
+  request.timestamp = n;
+  request.value = 1.0;
+  return EncodeRequest(request);
+}
+
+int64_t FrameNumber(std::string_view body) {
+  auto request = DecodeRequest(body);
+  EXPECT_TRUE(request.ok()) << request.status().ToString();
+  return request.ok() ? request.value().timestamp : -1;
+}
+
+TEST(FramedConnTest, BufferedBurstDrainsInOrderAfterOneFill) {
+  ConnPair pair;
+  constexpr int64_t kFrames = 2048;
+  std::string burst;
+  for (int64_t i = 0; i < kFrames; ++i) burst += NumberedFrame(i);
+  pair.Send(burst);
+  FramedConn conn(pair.read_fd);
+  pair.Fill(&conn);
+  EXPECT_EQ(conn.buffered_read_bytes(), burst.size());
+  for (int64_t i = 0; i < kFrames; ++i) {
+    std::string_view body;
+    auto got = conn.NextBufferedFrame(&body);
+    ASSERT_TRUE(got.ok() && got.value()) << "frame " << i;
+    ASSERT_EQ(FrameNumber(body), i);
+  }
+  EXPECT_EQ(conn.buffered_read_bytes(), 0u);
+  std::string_view body;
+  auto got = conn.NextBufferedFrame(&body);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got.value());
+}
+
+TEST(FramedConnTest, SplitFrameIsReturnedOnlyOnceWhole) {
+  ConnPair pair;
+  FramedConn conn(pair.read_fd);
+  const std::string split = NumberedFrame(2);
+  const size_t half = split.size() / 2;
+  pair.Send(NumberedFrame(0) + NumberedFrame(1) + split.substr(0, half));
+  pair.Fill(&conn);
+  std::string_view body;
+  for (int64_t i = 0; i < 2; ++i) {
+    auto got = conn.NextBufferedFrame(&body);
+    ASSERT_TRUE(got.ok() && got.value());
+    EXPECT_EQ(FrameNumber(body), i);
+  }
+  auto partial = conn.NextBufferedFrame(&body);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_FALSE(partial.value());
+  // The frames before the split one are consumed; only its prefix waits.
+  EXPECT_EQ(conn.buffered_read_bytes(), half);
+  pair.Send(split.substr(half));
+  pair.Fill(&conn);
+  auto whole = conn.NextBufferedFrame(&body);
+  ASSERT_TRUE(whole.ok() && whole.value());
+  EXPECT_EQ(FrameNumber(body), 2);
+  EXPECT_EQ(conn.buffered_read_bytes(), 0u);
+}
+
+TEST(FramedConnTest, HelloAndFramesInOneSegmentParse) {
+  ConnPair pair;
+  FramedConn conn(pair.read_fd);
+  pair.Send(EncodeHello() + NumberedFrame(0) + NumberedFrame(1));
+  pair.Fill(&conn);
+  auto hello = conn.TryConsumeHello();
+  ASSERT_TRUE(hello.ok() && hello.value()) << hello.status().ToString();
+  std::string_view body;
+  for (int64_t i = 0; i < 2; ++i) {
+    auto got = conn.NextBufferedFrame(&body);
+    ASSERT_TRUE(got.ok() && got.value());
+    EXPECT_EQ(FrameNumber(body), i);
+  }
+  EXPECT_EQ(conn.buffered_read_bytes(), 0u);
+}
+
+TEST(FramedConnTest, BlockingReadReturnsBufferedFramesFirst) {
+  ConnPair pair;
+  FramedConn conn(pair.read_fd);
+  pair.Send(NumberedFrame(0) + NumberedFrame(1) + NumberedFrame(2));
+  pair.Fill(&conn);
+  pair.Send(NumberedFrame(3));  // only a blocking recv can see this one
+  for (int64_t i = 0; i < 4; ++i) {
+    auto body = conn.ReadFrame();
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    EXPECT_EQ(FrameNumber(body.value()), i);
+  }
+  EXPECT_EQ(conn.buffered_read_bytes(), 0u);
+  ::shutdown(pair.write_fd, SHUT_WR);
+  EXPECT_EQ(conn.ReadFrame().status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(FramedConnTest, PeekedFrameIsStillTheNextOneRead) {
+  ConnPair pair;
+  FramedConn conn(pair.read_fd);
+  pair.Send(NumberedFrame(0) + NumberedFrame(1) + NumberedFrame(2));
+  pair.Fill(&conn);
+  std::string_view body;
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    auto peeked = conn.PeekBufferedFrame(&body);
+    ASSERT_TRUE(peeked.ok() && peeked.value());
+    EXPECT_EQ(FrameNumber(body), 0);
+  }
+  auto next = conn.NextBufferedFrame(&body);
+  ASSERT_TRUE(next.ok() && next.value());
+  EXPECT_EQ(FrameNumber(body), 0);
+  auto peeked = conn.PeekBufferedFrame(&body);
+  ASSERT_TRUE(peeked.ok() && peeked.value());
+  EXPECT_EQ(FrameNumber(body), 1);
+  conn.ConsumePeekedFrame();
+  next = conn.NextBufferedFrame(&body);
+  ASSERT_TRUE(next.ok() && next.value());
+  EXPECT_EQ(FrameNumber(body), 2);
+  EXPECT_EQ(conn.buffered_read_bytes(), 0u);
 }
 
 TEST(ProtocolTest, DecodeRequestRejectsMalformedBodies) {

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "core/ddsketch.h"
@@ -188,6 +190,104 @@ TEST_F(ServerTest, PipelinedIngestLandsEveryValue) {
   EXPECT_EQ(
       std::move(reopened.value().QueryRange("bulk", 0, 50)).value().count(),
       2000u);
+}
+
+TEST_F(ServerTest, FramesBufferedBehindAnIngestRunAnswerInOrder) {
+  // One write carries ingest runs longer than the run cap with non-ingest
+  // frames behind them. Each run stops at the first non-ingest frame,
+  // which stays buffered until the run commits; every response must
+  // come back in request order, and each QUERY must see every ingest
+  // sent before it.
+  SketchServerOptions options;
+  options.shards = 1;
+  options.commit_batch = 64;  // run cap 64: the 300 ingests take 5 runs
+  auto server = MustStart(Dir("behind"), options);
+  auto fd = ConnectTcp("127.0.0.1", server->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  // A lost response must fail the read, not hang the test.
+  const struct timeval timeout = {10, 0};
+  ASSERT_EQ(::setsockopt(fd.value(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  FramedConn conn(fd.value());
+
+  std::vector<Request::Op> ops;
+  std::string wire = EncodeHello();
+  const auto send = [&](const Request& request) {
+    ops.push_back(request.op);
+    wire += EncodeRequest(request);
+  };
+  const auto ingest = [&](double value) {
+    Request request;
+    request.op = Request::Op::kIngest;
+    request.series = "svc";
+    request.timestamp = 5;
+    request.value = value;
+    send(request);
+  };
+  const auto query = [&](std::vector<double> quantiles) {
+    Request request;
+    request.op = Request::Op::kQuery;
+    request.series = "svc";
+    request.start = 0;
+    request.end = 100;
+    request.quantiles = std::move(quantiles);
+    send(request);
+  };
+  const auto bare = [&](Request::Op op) {
+    Request request;
+    request.op = op;
+    send(request);
+  };
+  for (int i = 1; i <= 300; ++i) ingest(i);
+  query({0, 1});
+  bare(Request::Op::kStats);
+  Request set_tag;
+  set_tag.op = Request::Op::kSetTag;
+  set_tag.tag = "gold";
+  send(set_tag);
+  for (int i = 1000; i <= 1002; ++i) ingest(i);
+  bare(Request::Op::kCheckpoint);
+  query({1});
+  bare(Request::Op::kStats);
+  ASSERT_TRUE(conn.WriteFrame(wire).ok());
+  ASSERT_TRUE(conn.ExpectHello().ok());
+
+  std::vector<Response> responses;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    auto body = conn.ReadFrame();
+    ASSERT_TRUE(body.ok()) << "response " << i << ": "
+                           << body.status().ToString();
+    auto response = DecodeResponse(body.value());
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response.value().op, ops[i]) << "response " << i;
+    ASSERT_EQ(response.value().code, StatusCode::kOk)
+        << "response " << i << ": " << response.value().message;
+    responses.push_back(std::move(response).value());
+  }
+  ASSERT_EQ(responses.size(), 309u);
+  ::close(fd.value());
+
+  const double alpha = DDSketchConfig{}.relative_accuracy;
+  const std::vector<double>& first = responses[300].values;
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_NEAR(first[0], 1, alpha * 1);
+  EXPECT_NEAR(first[1], 300, alpha * 300);
+  const std::vector<double>& last = responses[307].values;
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_NEAR(last[0], 1002, alpha * 1002);
+
+  const StoreStats& stats = responses[308].stats;
+  EXPECT_EQ(stats.op_latencies[static_cast<size_t>(LatencyOp::kIngest)].count,
+            303u);
+  uint64_t default_acks = 0;
+  uint64_t gold_acks = 0;
+  for (const TagStatsRow& row : stats.tags) {
+    if (row.tag == "default") default_acks = row.count;
+    if (row.tag == "gold") gold_acks = row.count;
+  }
+  EXPECT_EQ(default_acks, 300u);
+  EXPECT_EQ(gold_acks, 3u);
 }
 
 TEST_F(ServerTest, ConcurrentClientsAllRecoverAfterStop) {
