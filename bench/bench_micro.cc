@@ -155,6 +155,54 @@ void BM_DDSketchMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_DDSketchMerge);
 
+// The same merge from b's frozen image (the bytes Serialize() writes
+// after its header), as SketchStore reads a frozen interval.
+void BM_DDSketchMergeEncoded(benchmark::State& state) {
+  auto a = MakeDDSketch(), b = MakeDDSketch();
+  DataStream s1(MakeDataset(DatasetId::kPareto), 1);
+  DataStream s2(MakeDataset(DatasetId::kPareto), 2);
+  for (int i = 0; i < 1000000; ++i) {
+    a.Add(s1.Next());
+    b.Add(s2.Next());
+  }
+  const std::string frozen = b.Freeze();
+  for (auto _ : state) {
+    DDSketch target = a;
+    target.MergeEncoded(frozen);
+    benchmark::DoNotOptimize(target);
+  }
+}
+BENCHMARK(BM_DDSketchMergeEncoded);
+
+// One interval of a time-series range query: a 50-value sketch (a 10 s
+// interval of the store's benchmark history) merged into the query's
+// running accumulator, from the dense sketch and from its frozen image.
+DDSketch IntervalSketch(uint64_t seed) {
+  auto sketch = MakeDDSketch();
+  DataStream s(MakeDataset(DatasetId::kPareto), seed);
+  for (int i = 0; i < 50; ++i) sketch.Add(s.Next());
+  return sketch;
+}
+
+void BM_IntervalMergeFrom(benchmark::State& state) {
+  DDSketch accumulator = IntervalSketch(1);
+  const DDSketch interval = IntervalSketch(2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(accumulator.MergeFrom(interval));
+  }
+}
+BENCHMARK(BM_IntervalMergeFrom);
+
+void BM_IntervalMergeEncoded(benchmark::State& state) {
+  DDSketch accumulator = IntervalSketch(1);
+  const std::string frozen = IntervalSketch(2).Freeze();
+  for (auto _ : state) {
+    accumulator.MergeEncoded(frozen);
+    benchmark::DoNotOptimize(accumulator);
+  }
+}
+BENCHMARK(BM_IntervalMergeEncoded);
+
 void BM_MomentsMerge(benchmark::State& state) {
   auto a = MakeMoments(), b = MakeMoments();
   DataStream s1(MakeDataset(DatasetId::kPareto), 1);

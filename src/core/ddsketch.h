@@ -24,6 +24,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/mapping.h"
@@ -192,6 +193,28 @@ class DDSketch {
   /// Decodes a payload produced by Serialize(). Fails with Corruption on
   /// malformed input.
   static Result<DDSketch> Deserialize(std::string_view payload);
+
+  /// The header Serialize() writes first: magic, version, mapping, alpha,
+  /// store type and size bound. Equal for every sketch of one
+  /// configuration.
+  std::string SerializedHeader() const;
+
+  /// The frozen image: the bytes Serialize() writes after its header
+  /// (zero/rejected/clamped counts, sum, min, max, both bucket blocks),
+  /// so SerializedHeader() + Freeze() == Serialize() byte for byte. A
+  /// sketch that takes no more writes can be held as these bytes alone
+  /// and read through MergeEncoded (SketchStore's frozen intervals).
+  std::string Freeze() const;
+
+  /// Adds a frozen image into this sketch exactly as MergeFrom would add
+  /// the sketch it was frozen from: the buckets go straight into a dense
+  /// store's array when the combined span fits, else through Add one by
+  /// one in ascending order (so a collapse lands where MergeFrom's would);
+  /// then the counts, sum, min and max with MergeFrom's arithmetic.
+  /// `frozen` must come from Freeze() of a sketch with a compatible
+  /// mapping (or from a payload Deserialize accepted): it is not
+  /// re-validated.
+  void MergeEncoded(std::string_view frozen);
 
  private:
   friend class DDSketchCodec;

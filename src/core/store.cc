@@ -168,25 +168,28 @@ void DenseStore::MergeFrom(const Store& other) {
       if (!has_collapsed_) fold_index_ = dense->fold_index_;
       has_collapsed_ = true;
     }
-    const int32_t lo = total_count_ == 0
-                           ? dense->min_index_
-                           : std::min(min_index_, dense->min_index_);
-    const int32_t hi = total_count_ == 0
-                           ? dense->max_index_
-                           : std::max(max_index_, dense->max_index_);
-    if (SpanFits(lo, hi)) {
-      Extend(lo, hi);
+    if (ReserveMergeSpan(dense->min_index_, dense->max_index_,
+                         dense->total_count_)) {
       for (int32_t i = dense->min_index_; i <= dense->max_index_; ++i) {
-        counts_[static_cast<size_t>(i - offset_)] +=
-            dense->counts_[static_cast<size_t>(i - dense->offset_)];
+        AddInSpan(i, dense->counts_[static_cast<size_t>(i - dense->offset_)]);
       }
-      total_count_ += dense->total_count_;
-      min_index_ = lo;
-      max_index_ = hi;
       return;
     }
   }
   Store::MergeFrom(other);
+}
+
+bool DenseStore::ReserveMergeSpan(int32_t lo, int32_t hi, uint64_t total) {
+  if (total_count_ != 0) {
+    lo = std::min(lo, min_index_);
+    hi = std::max(hi, max_index_);
+  }
+  if (!SpanFits(lo, hi)) return false;
+  Extend(lo, hi);
+  total_count_ += total;
+  min_index_ = lo;
+  max_index_ = hi;
+  return true;
 }
 
 void DenseStore::Add(int32_t index, uint64_t count) {

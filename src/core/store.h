@@ -244,6 +244,21 @@ class DenseStore : public Store {
   /// per-bucket virtual dispatch) whenever the combined span fits without
   /// collapsing; otherwise falls back to the generic bucket walk.
   void MergeFrom(const Store& other) override;
+
+  /// MergeFrom's direct path, for a source the caller walks itself (an
+  /// encoded bucket block, DDSketch::MergeEncoded): when the source's
+  /// buckets [lo, hi] fit beside this store's without collapsing, grows
+  /// to cover them, counts `total` in and returns true; the caller then
+  /// adds every source bucket through AddInSpan. Returns false, with the
+  /// store untouched, when the merge would collapse: the caller must then
+  /// add bucket by bucket, in ascending order, through Add.
+  bool ReserveMergeSpan(int32_t lo, int32_t hi, uint64_t total);
+
+  /// Adds to a bucket of a span ReserveMergeSpan reserved (its total is
+  /// already counted).
+  void AddInSpan(int32_t index, uint64_t count) {
+    counts_[static_cast<size_t>(index - offset_)] += count;
+  }
   uint64_t Remove(int32_t index, uint64_t count) override;
   uint64_t total_count() const noexcept override { return total_count_; }
   int32_t min_index() const noexcept override;

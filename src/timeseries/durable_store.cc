@@ -15,6 +15,7 @@
 
 #include "core/ddsketch.h"
 #include "timeseries/snapshot.h"
+#include "util/crc32.h"
 #include "util/file_io.h"
 #include "util/frame.h"
 
@@ -52,6 +53,7 @@ constexpr size_t kReplaySliceRecords = 1024;
 /// into `store`.
 Result<DDSketch> DecodeSketchRecord(const SketchStore& store,
                                     const WalRecord& record) {
+  DD_RETURN_IF_ERROR(SketchStore::CheckTimestamp(record.timestamp));
   auto sketch = DDSketch::Deserialize(record.payload);
   if (!sketch.ok()) return sketch.status();
   DD_RETURN_IF_ERROR(store.CheckCompatible(sketch.value()));
@@ -75,6 +77,7 @@ Status DecodeRecords(const SketchStore& store,
         break;
       }
       case WalRecord::Type::kIngestValue:
+        DD_RETURN_IF_ERROR(SketchStore::CheckTimestamp(record.timestamp));
         break;
       default:
         return Status::Corruption("unknown WAL record type");
@@ -125,17 +128,32 @@ Status MergeRecords(SketchStore* store, std::span<const WalRecord> records,
 /// The token every directory starts at; the first promotion moves to 2.
 constexpr uint64_t kInitialFenceToken = 1;
 
-std::string EncodeFenceState(uint64_t token, bool fenced) {
+/// The LOCK file's two fields, one per line.
+std::string FenceFields(uint64_t token, bool fenced) {
   return "fence=" + std::to_string(token) + "\nfenced=" +
          (fenced ? "1" : "0") + "\n";
 }
 
+/// The fields, then a line with their CRC-32C in 8 hex digits. The LOCK
+/// is rewritten in place, so a torn rewrite can leave the new token over
+/// the old file's tail; the CRC line turns that into Corruption instead
+/// of a valid-looking state.
+std::string EncodeFenceState(uint64_t token, bool fenced) {
+  const std::string fields = FenceFields(token, fenced);
+  char crc[10];
+  std::snprintf(crc, sizeof(crc), "%08x\n", Crc32c(fields));
+  return fields + crc;
+}
+
 /// An empty lock file (pre-replication directories) parses as the
-/// defaults; anything else must be the exact EncodeFenceState layout.
+/// defaults; anything else must be the exact EncodeFenceState layout, or
+/// its two fields alone as written before the CRC line (*legacy is then
+/// set, and Open rewrites the file).
 Status ParseFenceState(const std::string& contents, uint64_t* token,
-                       bool* fenced) {
+                       bool* fenced, bool* legacy) {
   *token = kInitialFenceToken;
   *fenced = false;
+  *legacy = false;
   if (contents.empty()) return Status::OK();
   uint64_t t = 0;
   int f = -1;
@@ -143,6 +161,12 @@ Status ParseFenceState(const std::string& contents, uint64_t* token,
           2 ||
       t == 0 || (f != 0 && f != 1)) {
     return Status::Corruption("unparseable fencing state in LOCK file");
+  }
+  if (contents == FenceFields(t, f == 1)) {
+    *legacy = true;
+  } else if (contents != EncodeFenceState(t, f == 1)) {
+    return Status::Corruption(
+        "LOCK file fencing state fails its checksum (torn rewrite?)");
   }
   *token = t;
   *fenced = f == 1;
@@ -188,15 +212,17 @@ Result<DurableSketchStore> DurableSketchStore::Open(
   const std::string snapshot_path = SnapshotPath(data_dir);
 
   // Fencing state rides in the lock file; a pre-replication (empty) lock
-  // file is stamped with the defaults so the token is always durable.
+  // file is stamped with the defaults so the token is always durable, and
+  // one written before the CRC line is rewritten with it.
   uint64_t fence_token = kInitialFenceToken;
   bool fenced = false;
   {
     auto contents = lock.value().Read();
     if (!contents.ok()) return contents.status();
+    bool legacy = false;
     DD_RETURN_IF_ERROR(ParseFenceState(contents.value(), &fence_token,
-                                       &fenced));
-    if (contents.value().empty()) {
+                                       &fenced, &legacy));
+    if (contents.value().empty() || legacy) {
       DD_RETURN_IF_ERROR(
           lock.value().Write(EncodeFenceState(fence_token, fenced)));
     }
@@ -295,7 +321,7 @@ Status DurableSketchStore::ValidateRecord(const WalRecord& record) const {
     case WalRecord::Type::kIngestSketch:
       return DecodeSketchRecord(store_, record).status();
     case WalRecord::Type::kIngestValue:
-      return Status::OK();
+      return SketchStore::CheckTimestamp(record.timestamp);
   }
   return Status::Corruption("unknown WAL record type");
 }

@@ -127,9 +127,11 @@ class DurableSketchStore {
 
   // --- Replication + fencing (server/replication.h, PROTOCOL.md v5) ---
   //
-  // The fencing token lives in the LOCK file (`fence=<N>\nfenced=<0|1>`,
-  // written in place on the flock'd fd — util/file_io.h explains why not
-  // atomically). It totally orders primaries over a directory's history:
+  // The fencing token lives in the LOCK file (`fence=<N>\nfenced=<0|1>\n`
+  // and a line with the CRC-32C of those two, in 8 hex digits), written
+  // in place on the flock'd fd — util/file_io.h explains why not
+  // atomically; the CRC line makes a torn rewrite fail to open with
+  // Corruption. It totally orders primaries over a directory's history:
   // a promotion bumps the token, and a writer that has observed a larger
   // token than its own is *fenced* — sticky, persisted, every write
   // refused with FENCED — so a deposed primary's late writes can never

@@ -1,7 +1,9 @@
 #include "timeseries/sketch_store.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
+#include <string>
 
 namespace dd {
 
@@ -21,6 +23,13 @@ Status SketchStore::ValidateLevels(const std::vector<RollupLevel>& levels) {
   }
   if (levels.front().interval_seconds < 1) {
     return Status::InvalidArgument("level interval must be >= 1 second");
+  }
+  for (const RollupLevel& level : levels) {
+    if (level.interval_seconds > kMaxLevelSeconds ||
+        level.retention_seconds > kMaxLevelSeconds) {
+      return Status::InvalidArgument(
+          "level interval and retention must be at most 2^60 seconds");
+    }
   }
   for (size_t i = 1; i < levels.size(); ++i) {
     const int64_t prev = levels[i - 1].interval_seconds;
@@ -50,6 +59,14 @@ Status SketchStore::ValidateLevels(const std::vector<RollupLevel>& levels) {
   return Status::OK();
 }
 
+Status SketchStore::CheckTimestamp(int64_t timestamp) {
+  if (timestamp < -kMaxTimestamp || timestamp > kMaxTimestamp) {
+    return Status::InvalidArgument("timestamp " + std::to_string(timestamp) +
+                                   " outside +/-2^61 seconds");
+  }
+  return Status::OK();
+}
+
 Result<SketchStore> SketchStore::Create(const SketchStoreOptions& options) {
   SketchStoreOptions resolved = options;
   if (resolved.levels.empty()) resolved.levels = DefaultRollupLevels();
@@ -72,15 +89,74 @@ Status SketchStore::Ingest(const std::string& series, int64_t timestamp,
   return IngestSketch(series, timestamp, decoded.value());
 }
 
+SketchStore::Interval& SketchStore::FindOrInsert(std::vector<Interval>* tier,
+                                                 int64_t start) {
+  if (tier->empty() || tier->back().start < start) {
+    tier->push_back(Interval{start, {}, nullptr});
+    return tier->back();
+  }
+  const auto it = std::lower_bound(
+      tier->begin(), tier->end(), start,
+      [](const Interval& interval, int64_t s) { return interval.start < s; });
+  if (it->start == start) return *it;
+  return *tier->insert(it, Interval{start, {}, nullptr});
+}
+
+DDSketch& SketchStore::Thaw(Interval& interval) const {
+  if (interval.dense == nullptr) {
+    // The store's header plus frozen bytes is the sketch's Serialize(),
+    // which decodes to the sketch byte for byte (frozen bytes come only
+    // from Freeze(), so the decode cannot fail).
+    interval.dense = std::make_unique<DDSketch>(
+        interval.frozen.empty()
+            ? prototype_
+            : DDSketch::Deserialize(prototype_.SerializedHeader() +
+                                    interval.frozen)
+                  .value());
+    std::string().swap(interval.frozen);
+  }
+  return *interval.dense;
+}
+
+void SketchStore::Freeze(Interval& interval) {
+  if (interval.dense == nullptr) return;
+  interval.frozen = interval.dense->Freeze();
+  interval.dense.reset();
+}
+
+void SketchStore::MergeInto(const Interval& interval, DDSketch* out) {
+  if (interval.dense != nullptr) {
+    (void)out->MergeFrom(*interval.dense);  // same parameters by construction
+  } else {
+    out->MergeEncoded(interval.frozen);
+  }
+}
+
+size_t SketchStore::HeldBytes(const Interval& interval) {
+  return sizeof(Interval) + (interval.dense != nullptr
+                                 ? interval.dense->size_in_bytes()
+                                 : interval.frozen.capacity());
+}
+
 Status SketchStore::IngestSketch(const std::string& series, int64_t timestamp,
                                  const DDSketch& sketch) {
-  // Validate before touching the map so a failed ingest leaves no empty
+  // Validate before touching the tiers so a failed ingest leaves no empty
   // series/interval behind.
+  DD_RETURN_IF_ERROR(CheckTimestamp(timestamp));
   DD_RETURN_IF_ERROR(CheckCompatible(sketch));
-  Series& s = SeriesFor(series);
-  const int64_t start = RawStart(timestamp);
-  auto [it, inserted] = s.levels[0].try_emplace(start, prototype_);
-  return it->second.MergeFrom(sketch);
+  Interval& interval = FindOrInsert(&SeriesFor(series).levels[0],
+                                    RawStart(timestamp));
+  if (interval.dense == nullptr && interval.frozen.empty()) {
+    // A MERGE into an empty interval is stored frozen: merged into the
+    // prototype exactly as a dense interval would be (so a payload's own
+    // store type, bound, -0.0 sum or NaN min end up as they always
+    // have), then frozen.
+    DDSketch merged = prototype_;
+    (void)merged.MergeFrom(sketch);  // compatibility checked above
+    interval.frozen = merged.Freeze();
+    return Status::OK();
+  }
+  return Thaw(interval).MergeFrom(sketch);
 }
 
 Status SketchStore::CheckCompatible(const DDSketch& sketch) const {
@@ -93,36 +169,38 @@ Status SketchStore::CheckCompatible(const DDSketch& sketch) const {
 
 Status SketchStore::IngestValue(const std::string& series, int64_t timestamp,
                                 double value) {
-  Series& s = SeriesFor(series);
-  const int64_t start = RawStart(timestamp);
-  auto [it, inserted] = s.levels[0].try_emplace(start, prototype_);
-  it->second.Add(value);
+  DD_RETURN_IF_ERROR(CheckTimestamp(timestamp));
+  Interval& interval = FindOrInsert(&SeriesFor(series).levels[0],
+                                    RawStart(timestamp));
+  Thaw(interval).Add(value);
   return Status::OK();
 }
 
 Status SketchStore::IngestValues(const std::string& series, int64_t timestamp,
                                  std::span<const double> values) {
+  DD_RETURN_IF_ERROR(CheckTimestamp(timestamp));
   if (values.empty()) return Status::OK();
-  Series& s = SeriesFor(series);
-  const int64_t start = RawStart(timestamp);
-  auto [it, inserted] = s.levels[0].try_emplace(start, prototype_);
-  it->second.AddBatch(values);
+  Interval& interval = FindOrInsert(&SeriesFor(series).levels[0],
+                                    RawStart(timestamp));
+  Thaw(interval).AddBatch(values);
   return Status::OK();
 }
 
-void SketchStore::MergeOverlapping(const std::map<int64_t, DDSketch>& tier,
+void SketchStore::MergeOverlapping(const std::vector<Interval>& tier,
                                    int64_t width, int64_t start, int64_t end,
                                    DDSketch* out) {
   // First bucket possibly overlapping [start, end) begins at or after
   // start - width + 1.
-  for (auto it = tier.lower_bound(start - width + 1);
-       it != tier.end() && it->first < end; ++it) {
-    (void)out->MergeFrom(it->second);  // same parameters by construction
-  }
+  auto it = std::lower_bound(
+      tier.begin(), tier.end(), start - width + 1,
+      [](const Interval& interval, int64_t s) { return interval.start < s; });
+  for (; it != tier.end() && it->start < end; ++it) MergeInto(*it, out);
 }
 
 Result<DDSketch> SketchStore::QueryRange(const std::string& series,
                                          int64_t start, int64_t end) const {
+  DD_RETURN_IF_ERROR(CheckTimestamp(start));
+  DD_RETURN_IF_ERROR(CheckTimestamp(end));
   if (start >= end) {
     return Status::InvalidArgument("empty time range");
   }
@@ -153,9 +231,11 @@ Result<double> SketchStore::QueryQuantile(const std::string& series,
 Result<std::vector<SeriesPoint>> SketchStore::QuerySeries(
     const std::string& series, int64_t start, int64_t end, double q,
     int64_t step_seconds) const {
-  if (step_seconds < 1) {
-    return Status::InvalidArgument("step must be >= 1 second");
+  if (step_seconds < 1 || step_seconds > kMaxTimestamp) {
+    return Status::InvalidArgument("step must be in [1 second, 2^61 seconds]");
   }
+  DD_RETURN_IF_ERROR(CheckTimestamp(start));
+  DD_RETURN_IF_ERROR(CheckTimestamp(end));
   std::vector<SeriesPoint> points;
   for (int64_t t = start; t < end; t += step_seconds) {
     auto merged = QueryRange(series, t, std::min(t + step_seconds, end));
@@ -172,7 +252,7 @@ int64_t SketchStore::DataHorizon() const {
   for (const auto& [name, s] : series_) {
     for (size_t i = 0; i < s.levels.size(); ++i) {
       if (s.levels[i].empty()) continue;
-      horizon = std::max(horizon, s.levels[i].rbegin()->first +
+      horizon = std::max(horizon, s.levels[i].back().start +
                                       options_.levels[i].interval_seconds);
     }
   }
@@ -185,12 +265,16 @@ size_t SketchStore::Compact(int64_t now) {
   // Clamp against the newest ingested data: a caller clock running
   // ahead of the ingest timestamps must not age still-hot intervals,
   // and INT64_MAX deliberately saturates to pure data-time rollup (the
-  // deterministic form checkpoints use).
-  const int64_t effective_now = std::min(now, horizon);
+  // deterministic form checkpoints use). Below -kMaxTimestamp nothing
+  // can fold (every interval ends after -kMaxTimestamp), so a clock
+  // clamped there folds the same and keeps the cutoffs in range.
+  const int64_t effective_now =
+      std::max(std::min(now, horizon), -kMaxTimestamp);
   size_t folded = 0;
   for (auto& [name, s] : series_) {
     // Fine → coarse, so very old data cascades through several levels
-    // in one pass. Ascending map order keeps the fold deterministic.
+    // in one pass. Ascending start order keeps the fold deterministic: a
+    // coarse interval's sum is a floating-point sum of its parts.
     for (size_t i = 0; i + 1 < s.levels.size(); ++i) {
       const int64_t next_width = options_.levels[i + 1].interval_seconds;
       // Aligning the cutoff down to the next level's width means a
@@ -198,17 +282,17 @@ size_t SketchStore::Compact(int64_t now) {
       // intervals in a single pass.
       const int64_t cutoff = AlignDown(
           effective_now - options_.levels[i].retention_seconds, next_width);
-      auto& fine = s.levels[i];
-      auto& coarse = s.levels[i + 1];
-      auto it = fine.begin();
-      while (it != fine.end() && it->first < cutoff) {
-        const int64_t coarse_start = AlignDown(it->first, next_width);
-        auto [slot, inserted] = coarse.try_emplace(coarse_start, prototype_);
-        (void)slot->second.MergeFrom(it->second);
-        it = fine.erase(it);
-        ++folded;
+      std::vector<Interval>& fine = s.levels[i];
+      std::vector<Interval>& coarse = s.levels[i + 1];
+      size_t n = 0;
+      for (; n < fine.size() && fine[n].start < cutoff; ++n) {
+        Interval& slot =
+            FindOrInsert(&coarse, AlignDown(fine[n].start, next_width));
+        MergeInto(fine[n], &Thaw(slot));
         ++rollup_merges_[i + 1];
       }
+      fine.erase(fine.begin(), fine.begin() + static_cast<ptrdiff_t>(n));
+      folded += n;
     }
     const RollupLevel& last = options_.levels.back();
     if (last.retention_seconds > 0) {
@@ -216,13 +300,17 @@ size_t SketchStore::Compact(int64_t now) {
       // the level width) implies start + width <= now - retention.
       const int64_t cutoff = AlignDown(
           effective_now - last.retention_seconds, last.interval_seconds);
-      auto& tier = s.levels.back();
-      auto it = tier.begin();
-      while (it != tier.end() && it->first < cutoff) {
-        it = tier.erase(it);
-        ++folded;
-        ++rollup_merges_.back();
-      }
+      std::vector<Interval>& tier = s.levels.back();
+      size_t n = 0;
+      while (n < tier.size() && tier[n].start < cutoff) ++n;
+      tier.erase(tier.begin(), tier.begin() + static_cast<ptrdiff_t>(n));
+      folded += n;
+      rollup_merges_.back() += n;
+    }
+    // Then hold every interval frozen until a write thaws it. Every
+    // checkpoint compacts first, so its snapshot encode only copies.
+    for (std::vector<Interval>& tier : s.levels) {
+      for (Interval& interval : tier) Freeze(interval);
     }
   }
   return folded;
@@ -248,7 +336,7 @@ size_t SketchStore::size_in_bytes() const {
   for (const auto& [name, s] : series_) {
     total += name.size();
     for (const auto& tier : s.levels) {
-      for (const auto& [t, sketch] : tier) total += sketch.size_in_bytes();
+      for (const Interval& interval : tier) total += HeldBytes(interval);
     }
   }
   return total;
@@ -264,8 +352,8 @@ std::vector<LevelUsage> SketchStore::LevelStats() const {
   for (const auto& [name, s] : series_) {
     for (size_t i = 0; i < s.levels.size(); ++i) {
       stats[i].num_intervals += s.levels[i].size();
-      for (const auto& [t, sketch] : s.levels[i]) {
-        stats[i].retained_bytes += sketch.size_in_bytes();
+      for (const Interval& interval : s.levels[i]) {
+        stats[i].retained_bytes += HeldBytes(interval);
       }
     }
   }

@@ -20,12 +20,29 @@
 // clock to the data horizon — and folds intervals in ascending key
 // order, so a primary and a follower that replayed the same WAL bytes
 // reach bit-identical ladders when each runs its own rollup.
+//
+// Frozen and dense intervals. An interval that takes no writes is held
+// frozen: its sketch's DDSketch::Freeze() bytes, the part of Serialize()
+// after the per-configuration header (~240 B for a 50-value sketch,
+// against ~2.7 kB as a dense DDSketch). Queries and rollup folds add it
+// into their accumulator with DDSketch::MergeEncoded, and a snapshot
+// copies it after the store's one header. An interval is dense only
+// while it takes writes: a raw value, or a MERGE into an interval that
+// already holds data, thaws it (Deserialize of the store's header plus
+// its frozen bytes); a MERGE into an empty interval is merged as a dense
+// interval would be and stored frozen; and Compact — so every
+// checkpoint — freezes every interval after its fold. The representation
+// never changes bytes or answers: MergeEncoded adds exactly what
+// MergeFrom of the thawed sketch would, and header plus Freeze() is
+// Serialize() byte for byte, so a primary, a reopened copy and a
+// follower that hold one interval in different forms still agree.
 
 #ifndef DDSKETCH_TIMESERIES_SKETCH_STORE_H_
 #define DDSKETCH_TIMESERIES_SKETCH_STORE_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -56,6 +73,15 @@ struct RollupLevel {
 /// The default ladder: 10s raw for an hour, 1m for a day, 1h forever.
 std::vector<RollupLevel> DefaultRollupLevels();
 
+/// Largest magnitude of a timestamp the store accepts, in seconds: ingest
+/// timestamps and query bounds lie in [-kMaxTimestamp, kMaxTimestamp]
+/// (about 7e10 years either side of the epoch). With level intervals,
+/// retentions and query steps bounded too, every sum and difference the
+/// store forms stays inside int64.
+inline constexpr int64_t kMaxTimestamp = int64_t{1} << 61;
+/// Largest level interval or retention, in seconds.
+inline constexpr int64_t kMaxLevelSeconds = int64_t{1} << 60;
+
 /// Configuration of the store's time geometry.
 struct SketchStoreOptions {
   /// Sketch parameters for every stored interval (all must match for
@@ -83,7 +109,7 @@ struct LevelUsage {
   /// Cumulative sketches folded INTO this level by rollup (for the last
   /// level with finite retention, also counts buckets dropped from it).
   uint64_t rollup_merges = 0;
-  /// Live memory of this level's sketches.
+  /// Memory held by this level's intervals, frozen and dense.
   uint64_t retained_bytes = 0;
 };
 
@@ -97,8 +123,14 @@ class SketchStore {
   /// Validates a ladder: at least one level, positive intervals, each a
   /// strict integer multiple of the previous, intermediate retentions
   /// covering at least one next-level interval, retention 0 only on the
-  /// last level. Exposed so flag parsing can reject bad ladders early.
+  /// last level, no interval or retention above kMaxLevelSeconds.
+  /// Exposed so flag parsing can reject bad ladders early.
   static Status ValidateLevels(const std::vector<RollupLevel>& levels);
+
+  /// InvalidArgument unless |timestamp| <= kMaxTimestamp. Every ingest
+  /// and query entry point checks its timestamps with this; so does the
+  /// durable store, before a record reaches the WAL.
+  static Status CheckTimestamp(int64_t timestamp);
 
   /// Merges a serialized worker sketch into `series` at `timestamp`.
   /// Fails with Corruption on malformed payloads and Incompatible on
@@ -132,7 +164,7 @@ class SketchStore {
   /// simply merges the overlapping buckets of every level — the finest
   /// available resolution for each part of the window, stitched at the
   /// rollup horizons by construction. Fails with InvalidArgument for an
-  /// unknown series or an empty window.
+  /// unknown series, an empty window or a bound outside kMaxTimestamp.
   Result<DDSketch> QueryRange(const std::string& series, int64_t start,
                               int64_t end) const;
 
@@ -141,7 +173,8 @@ class SketchStore {
                                int64_t end, double q) const;
 
   /// The graph query: one q-quantile per `step_seconds` bucket across
-  /// [start, end); buckets with no data are skipped.
+  /// [start, end); buckets with no data are skipped. The step must lie
+  /// in [1, kMaxTimestamp].
   Result<std::vector<SeriesPoint>> QuerySeries(const std::string& series,
                                                int64_t start, int64_t end,
                                                double q,
@@ -169,12 +202,14 @@ class SketchStore {
   std::vector<std::string> ListSeries() const;
 
   size_t num_series() const { return series_.size(); }
-  /// Interval sketches currently held across all series and levels.
+  /// Interval sketches currently held across all series and levels,
+  /// frozen or dense.
   size_t num_intervals() const;
-  /// Total live memory of all stored sketches.
+  /// Memory held by the store: every interval, frozen or dense, and the
+  /// series names.
   size_t size_in_bytes() const;
 
-  /// Per-level interval counts, cumulative rollup merges, and retained
+  /// Per-level interval counts, cumulative rollup merges, and held
   /// bytes (finest level first).
   std::vector<LevelUsage> LevelStats() const;
 
@@ -192,11 +227,20 @@ class SketchStore {
  private:
   friend class SketchStoreSnapshotCodec;  // owns the on-disk snapshot format
 
+  /// One interval of one level. Frozen (dense == nullptr), it is held as
+  /// `frozen`, its sketch's DDSketch::Freeze() bytes (never empty); dense,
+  /// while it takes writes, as `dense`, with `frozen` empty.
+  struct Interval {
+    int64_t start = 0;
+    std::string frozen;
+    std::unique_ptr<DDSketch> dense;
+  };
+
   struct Series {
-    /// One interval map per ladder level, finest first; sized to
-    /// num_levels() on creation. Keys are interval starts, always
-    /// aligned to that level's width.
-    std::vector<std::map<int64_t, DDSketch>> levels;
+    /// One tier per ladder level, finest first; sized to num_levels() on
+    /// creation. Each tier is sorted by interval start, and every start
+    /// is aligned to that level's width.
+    std::vector<std::vector<Interval>> levels;
   };
 
   explicit SketchStore(const SketchStoreOptions& options, DDSketch prototype);
@@ -210,8 +254,20 @@ class SketchStore {
     return timestamp - Mod(timestamp, width);
   }
 
-  /// Merges every bucket of `tier` overlapping [start, end) into `out`.
-  static void MergeOverlapping(const std::map<int64_t, DDSketch>& tier,
+  /// The interval of `tier` starting at `start`, inserted empty (neither
+  /// frozen nor dense) in start order when absent. Appending is O(1), so
+  /// time-ordered ingest and rollup never search.
+  static Interval& FindOrInsert(std::vector<Interval>* tier, int64_t start);
+  /// `interval` as a dense sketch, thawing it (or starting it from the
+  /// prototype) first.
+  DDSketch& Thaw(Interval& interval) const;
+  static void Freeze(Interval& interval);
+  /// Adds `interval`'s sketch into `out`, whichever form it is held in.
+  static void MergeInto(const Interval& interval, DDSketch* out);
+  static size_t HeldBytes(const Interval& interval);
+
+  /// Merges every interval of `tier` overlapping [start, end) into `out`.
+  static void MergeOverlapping(const std::vector<Interval>& tier,
                                int64_t width, int64_t start, int64_t end,
                                DDSketch* out);
 

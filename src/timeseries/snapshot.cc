@@ -19,24 +19,30 @@ constexpr uint8_t kVersion = 2;        // N-level rollup ladder
 // trusted to size allocations (a real ladder has a handful of rungs).
 constexpr uint64_t kMaxLevels = 64;
 
-void EncodeTier(const std::map<int64_t, DDSketch>& tier, std::string* out) {
-  PutVarint64(out, tier.size());
-  for (const auto& [start, sketch] : tier) {
-    PutVarintSigned64(out, start);
-    const std::string payload = sketch.Serialize();
-    PutVarint64(out, payload.size());
-    out->append(payload);
-  }
-}
-
 }  // namespace
 
 /// Befriended by SketchStore; owns the snapshot body layout.
 class SketchStoreSnapshotCodec {
  public:
-  static std::string EncodeBody(const SketchStore& store, uint64_t epoch) {
+  /// Appends the body to `out`, sized up front: a checkpoint's encode is
+  /// mostly copying. A frozen interval's payload is the store's one
+  /// sketch header followed by its frozen bytes, which is exactly its
+  /// Serialize(); a dense one is serialized.
+  static void EncodeBody(const SketchStore& store, uint64_t epoch,
+                         std::string* out) {
     const SketchStoreOptions& options = store.options_;
-    std::string body;
+    const std::string header = store.prototype_.SerializedHeader();
+    size_t estimate = out->size() + 64;
+    for (const auto& [name, series] : store.series_) {
+      estimate += name.size() + 16;
+      for (const auto& tier : series.levels) {
+        for (const SketchStore::Interval& interval : tier) {
+          estimate += 16 + header.size() + interval.frozen.size();
+        }
+      }
+    }
+    out->reserve(estimate);
+    std::string& body = *out;
     PutVarint64(&body, epoch);
     PutVarint64(&body, options.levels.size());
     for (const RollupLevel& level : options.levels) {
@@ -52,14 +58,25 @@ class SketchStoreSnapshotCodec {
       PutVarint64(&body, name.size());
       body.append(name);
       for (size_t i = 0; i < options.levels.size(); ++i) {
-        if (i < series.levels.size()) {
-          EncodeTier(series.levels[i], &body);
-        } else {
+        if (i >= series.levels.size()) {
           PutVarint64(&body, 0);  // series created but never sized: empty tier
+          continue;
+        }
+        PutVarint64(&body, series.levels[i].size());
+        for (const SketchStore::Interval& interval : series.levels[i]) {
+          PutVarintSigned64(&body, interval.start);
+          if (interval.dense != nullptr) {
+            const std::string payload = interval.dense->Serialize();
+            PutVarint64(&body, payload.size());
+            body.append(payload);
+          } else {
+            PutVarint64(&body, header.size() + interval.frozen.size());
+            body.append(header);
+            body.append(interval.frozen);
+          }
         }
       }
     }
-    return body;
   }
 
   static Result<SnapshotContents> DecodeBody(std::string_view body,
@@ -140,6 +157,7 @@ class SketchStoreSnapshotCodec {
     }
     SketchStore store = std::move(store_result).value();
     const size_t n_levels = store.options_.levels.size();
+    const std::string header = store.prototype_.SerializedHeader();
 
     uint64_t n_series = 0;
     DD_RETURN_IF_ERROR(in.GetVarint64(&n_series));
@@ -161,9 +179,9 @@ class SketchStoreSnapshotCodec {
       // the two rungs of the mapped ladder; a v2 body carries one tier
       // per level.
       for (size_t level = 0; level < n_levels; ++level) {
-        DD_RETURN_IF_ERROR(
-            DecodeTier(&in, store, store.options_.levels[level].interval_seconds,
-                       &series.levels[level]));
+        DD_RETURN_IF_ERROR(DecodeTier(
+            &in, store, header, store.options_.levels[level].interval_seconds,
+            &series.levels[level]));
       }
     }
     if (!in.empty()) {
@@ -173,13 +191,21 @@ class SketchStoreSnapshotCodec {
   }
 
  private:
-  static Status DecodeTier(Slice* in, const SketchStore& store, int64_t width,
-                           std::map<int64_t, DDSketch>* tier) {
+  /// Decodes one tier's intervals, each validated in full (Deserialize,
+  /// then a header equal to the store's) before it is stored frozen.
+  static Status DecodeTier(Slice* in, const SketchStore& store,
+                           std::string_view header, int64_t width,
+                           std::vector<SketchStore::Interval>* tier) {
     uint64_t n = 0;
     DD_RETURN_IF_ERROR(in->GetVarint64(&n));
     for (uint64_t i = 0; i < n; ++i) {
       int64_t start = 0;
       DD_RETURN_IF_ERROR(in->GetVarintSigned64(&start));
+      // A live store only holds intervals that contain an admissible
+      // timestamp.
+      if (start > kMaxTimestamp || start <= -kMaxTimestamp - width) {
+        return Status::Corruption("snapshot interval start out of range");
+      }
       if (SketchStore::Mod(start, width) != 0) {
         return Status::Corruption("snapshot interval start misaligned");
       }
@@ -193,24 +219,29 @@ class SketchStoreSnapshotCodec {
       auto sketch = DDSketch::Deserialize(payload);
       if (!sketch.ok()) return sketch.status();
       DD_RETURN_IF_ERROR(store.CheckCompatible(sketch.value()));
-      const auto [it, inserted] =
-          tier->emplace(start, std::move(sketch).value());
-      if (!inserted) {
+      if (payload.substr(0, header.size()) != header) {
+        return Status::Corruption(
+            "snapshot: interval sketch parameters differ from the store's");
+      }
+      SketchStore::Interval& interval = SketchStore::FindOrInsert(tier, start);
+      if (!interval.frozen.empty()) {
         return Status::Corruption("snapshot: duplicate interval start");
       }
+      interval.frozen = sketch.value().Freeze();
     }
     return Status::OK();
   }
 };
 
 std::string EncodeSnapshot(const SketchStore& store, uint64_t epoch) {
-  const std::string body = SketchStoreSnapshotCodec::EncodeBody(store, epoch);
-  std::string out;
-  out.reserve(body.size() + sizeof(kMagic) + 1 + sizeof(uint32_t));
-  out.append(kMagic, sizeof(kMagic));
+  std::string out(kMagic, sizeof(kMagic));
   out.push_back(static_cast<char>(kVersion));
-  PutFixed32(&out, Crc32c(body));
-  out.append(body);
+  PutFixed32(&out, 0);  // the body's CRC, patched in below
+  const size_t body_at = out.size();
+  SketchStoreSnapshotCodec::EncodeBody(store, epoch, &out);
+  std::string crc;
+  PutFixed32(&crc, Crc32c(std::string_view(out).substr(body_at)));
+  out.replace(body_at - crc.size(), crc.size(), crc);
   return out;
 }
 

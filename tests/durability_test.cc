@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "timeseries/snapshot.h"
 #include "timeseries/wal.h"
 #include "util/file_io.h"
+#include "util/rng.h"
 #include "util/varint.h"
 
 namespace dd {
@@ -780,7 +783,7 @@ TEST_F(DurabilityTest, FailedPromotionLeavesTheStoreAsItWas) {
   // exactly the new LOCK's size lets it land and fails the checkpoint's
   // snapshot write.
   const std::string dir = Dir("promote");
-  const std::string promoted_lock = "fence=2\nfenced=0\n";
+  const std::string promoted_lock = "fence=2\nfenced=0\n5f710bf8\n";
   {
     auto opened = DurableSketchStore::Open(dir, FollowerOptions());
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
@@ -814,6 +817,61 @@ TEST_F(DurabilityTest, FailedPromotionLeavesTheStoreAsItWas) {
   auto reopened = DurableSketchStore::Open(dir, Options());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value().fence_token(), 2u);
+}
+
+TEST_F(DurabilityTest, TornFenceRewriteFailsToOpen) {
+  // The LOCK is rewritten in place. Under a 13-byte cap, Fence(5) writes
+  // `fence=5\nfence` over `fence=1\nfenced=0\n…` and stops: the old
+  // tail completes it into the new token, unfenced. The CRC line makes
+  // that file fail to open instead of opening as a writable store
+  // holding the new primary's token. A 4-byte cap stops inside the
+  // unchanged `fence=` prefix and leaves the old LOCK intact.
+  const std::string torn = Dir("torn");
+  {
+    DurableSketchStore store = MustOpen(torn);
+    EXPECT_FALSE(WithFileSizeCap(13, [&] { return store.Fence(5); }).ok());
+    EXPECT_TRUE(store.writes_fenced());  // refused in memory regardless
+  }
+  auto reopened = DurableSketchStore::Open(torn, Options());
+  ASSERT_FALSE(reopened.ok()) << "reopened with token "
+                              << reopened.value().fence_token();
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+
+  const std::string intact = Dir("intact");
+  std::string before;
+  {
+    DurableSketchStore store = MustOpen(intact);
+    before = ReadFile(DurableSketchStore::LockPath(intact));
+    EXPECT_FALSE(WithFileSizeCap(4, [&] { return store.Fence(5); }).ok());
+  }
+  EXPECT_EQ(ReadFile(DurableSketchStore::LockPath(intact)), before);
+  auto kept = DurableSketchStore::Open(intact, Options());
+  ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+  EXPECT_EQ(kept.value().fence_token(), 1u);
+  EXPECT_FALSE(kept.value().writes_fenced());
+}
+
+TEST_F(DurabilityTest, FenceStateWithoutChecksumLineOpensAndIsRewritten) {
+  // A LOCK written before the CRC line holds the two fields alone. It
+  // opens as before, and Open rewrites it with the line.
+  const std::string dir = Dir("legacy_lock");
+  { MustOpen(dir); }
+  WriteFile(DurableSketchStore::LockPath(dir), "fence=3\nfenced=1\n");
+  {
+    DurableSketchStore store = MustOpen(dir);
+    EXPECT_EQ(store.fence_token(), 3u);
+    EXPECT_TRUE(store.writes_fenced());
+  }
+  EXPECT_EQ(ReadFile(DurableSketchStore::LockPath(dir)),
+            "fence=3\nfenced=1\ndba2644e\n");
+  // Anything else that is not the exact layout is refused.
+  for (const char* bad : {"fence=3\nfenced=1\ndba2644", "fence=3\nfenced=1\nx",
+                          "fence=3\nfenced=1\n00000000\n"}) {
+    WriteFile(DurableSketchStore::LockPath(dir), bad);
+    EXPECT_EQ(DurableSketchStore::Open(dir, Options()).status().code(),
+              StatusCode::kCorruption)
+        << bad;
+  }
 }
 
 TEST_F(DurabilityTest, ReadWalChunkEndsOnWholeRecordsUnderEveryCap) {
@@ -885,6 +943,155 @@ TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {
       follower.value().ApplyReplicatedSegment(1, kWalHeaderBytes, shipped)
           .ok());
   EXPECT_EQ(SnapshotBytes(follower.value()), live);
+}
+
+TEST_F(DurabilityTest, FrozenAndThawedIntervalsKeepStatesByteIdentical) {
+  // A checkpoint freezes every interval. After it, raw values and MERGEs
+  // thaw frozen intervals, a MERGE into an empty interval arrives frozen,
+  // and late writes land behind the rollup horizon, where the next
+  // checkpoint folds them into frozen coarse intervals. At the end the
+  // primary has checkpointed once more (everything frozen), while a
+  // follower and a reopened copy of the directory (snapshot frozen, WAL
+  // replay thawing what it touches) hold the last epoch's intervals
+  // dense. Their snapshots must agree byte for byte, and every query
+  // must match a plain map of interval sketches.
+  const std::string dir = Dir("frozen");
+  const std::string copy_dir = Dir("frozen_copy");
+  const std::string follower_dir = Dir("frozen_follower");
+  const DDSketch prototype =
+      std::move(DDSketch::Create(DDSketchConfig{})).value();
+  std::map<std::string, std::map<int64_t, DDSketch>> reference;  // 10 s
+  Rng rng(7);
+  std::vector<WalRecord> batch;
+  const auto value = [&](const std::string& series, int64_t ts) {
+    WalRecord record;
+    record.type = WalRecord::Type::kIngestValue;
+    record.series = series;
+    record.timestamp = ts;
+    record.value = std::exp(rng.NextDouble() * 8 - 2) *
+                   (rng.NextBounded(5) == 0 ? -1.0 : 1.0);
+    reference[series].try_emplace(ts - ts % 10, prototype)
+        .first->second.Add(record.value);
+    batch.push_back(std::move(record));
+  };
+  const auto merge = [&](const std::string& series, int64_t ts) {
+    DDSketch worker = prototype;
+    for (int i = 0; i < 20; ++i) {
+      worker.Add(std::exp(rng.NextDouble() * 8 - 2) *
+                 (rng.NextBounded(5) == 0 ? -1.0 : 1.0));
+    }
+    WalRecord record;
+    record.type = WalRecord::Type::kIngestSketch;
+    record.series = series;
+    record.timestamp = ts;
+    record.payload = worker.Serialize();
+    ASSERT_TRUE(reference[series].try_emplace(ts - ts % 10, prototype)
+                    .first->second.MergeFrom(worker)
+                    .ok());
+    batch.push_back(std::move(record));
+  };
+
+  DurableSketchStore primary = MustOpen(dir);
+  auto follower = DurableSketchStore::Open(follower_dir, FollowerOptions());
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  // Commits the batch on the primary and ships the epoch's log so far.
+  const auto commit = [&] {
+    ASSERT_TRUE(primary.IngestBatch(batch).ok());
+    batch.clear();
+    auto segment = primary.ReadWalChunk(kWalHeaderBytes, 1 << 24);
+    ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+    ASSERT_EQ(kWalHeaderBytes + segment.value().size(), primary.wal_offset());
+    ASSERT_TRUE(follower.value()
+                    .ApplyReplicatedSegment(primary.epoch(), kWalHeaderBytes,
+                                            segment.value())
+                    .ok());
+  };
+
+  // Epoch 1: half an hour of both series. Its checkpoint folds
+  // [0, 1200) into 60 s intervals and freezes everything.
+  for (int64_t t = 0; t < 1800; t += 10) {
+    value("a", t + 3);
+    value("a", t + 4);
+    merge("b", t + 5);
+  }
+  commit();
+  ASSERT_TRUE(primary.Checkpoint().ok());
+
+  // Epoch 2: writes into frozen raw intervals, late writes behind the
+  // horizon (a new raw interval beside a frozen coarse one, thawed by
+  // its second write, and one that arrives frozen), ten more minutes,
+  // and a series whose first MERGE arrives frozen and second thaws it.
+  value("a", 1205);
+  value("a", 1503);
+  merge("b", 1207);
+  value("a", 303);
+  merge("a", 305);
+  merge("b", 502);
+  for (int64_t t = 1800; t < 2400; t += 10) {
+    value("a", t + 1);
+    merge("b", t + 2);
+  }
+  merge("c", 2000);
+  merge("c", 2001);
+  commit();
+  // Folds [1200, 1800) and the late raw intervals into coarse ones that
+  // the last checkpoint froze.
+  ASSERT_TRUE(primary.Checkpoint().ok());
+
+  // Epoch 3: thaw frozen raw intervals, merge into a thawed one, start a
+  // new series frozen. Nothing here is old enough to fold.
+  value("a", 1905);
+  merge("b", 2105);
+  merge("c", 2002);
+  merge("d", 2100);
+  value("a", 1906);
+  commit();
+  for (const char* file : {"LOCK", "snapshot.dds", "wal.log"}) {
+    fs::create_directories(copy_dir);
+    fs::copy_file(fs::path(dir) / file, fs::path(copy_dir) / file);
+  }
+  const std::string live = EncodeSnapshot(primary.store(), 0);
+  ASSERT_TRUE(primary.Checkpoint().ok());
+  auto reopened = DurableSketchStore::Open(copy_dir, Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+
+  const SketchStore* holders[] = {&primary.store(), &reopened.value().store(),
+                                  &follower.value().store()};
+  for (const SketchStore* store : holders) {
+    EXPECT_EQ(EncodeSnapshot(*store, 0), live);
+  }
+  // The checkpoint froze the intervals the other two still hold dense.
+  EXPECT_LT(primary.store().size_in_bytes(),
+            follower.value().store().size_in_bytes());
+  EXPECT_LT(primary.store().size_in_bytes(),
+            reopened.value().store().size_in_bytes());
+
+  // Windows aligned to the coarse width hold whole raw intervals at
+  // every level, so they answer exactly what the raw map does.
+  const std::vector<double> qs = {0.0, 0.1, 0.5, 0.9, 0.99, 1.0};
+  for (const auto& [series, intervals] : reference) {
+    for (const auto& [start, end] :
+         std::vector<std::pair<int64_t, int64_t>>{
+             {0, 2400}, {0, 600}, {300, 360}, {480, 540}, {240, 1260},
+             {1200, 1860}, {1800, 2400}, {1980, 2040}}) {
+      DDSketch want = prototype;
+      for (auto it = intervals.lower_bound(start);
+           it != intervals.end() && it->first < end; ++it) {
+        ASSERT_TRUE(want.MergeFrom(it->second).ok());
+      }
+      for (const SketchStore* store : holders) {
+        auto got = store->QueryRange(series, start, end);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got.value().count(), want.count())
+            << series << " [" << start << ", " << end << ")";
+        if (want.empty()) continue;
+        for (double q : qs) {
+          EXPECT_EQ(got.value().QuantileOrNaN(q), want.QuantileOrNaN(q))
+              << series << " [" << start << ", " << end << ") q=" << q;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/ddsketch.h"
@@ -17,6 +19,7 @@
 #include "timeseries/snapshot.h"
 #include "timeseries/wal.h"
 #include "util/rng.h"
+#include "util/varint.h"
 
 namespace dd {
 namespace {
@@ -274,6 +277,157 @@ TEST_P(FuzzCorruptionTest, BitFlipsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzCorruptionTest,
                          ::testing::Range<uint64_t>(1, 5));
+
+// ---------------------------------------------------------------------
+// Frozen images: SketchStore holds an interval that takes no writes as
+// DDSketch::Freeze() bytes and reads it through MergeEncoded. Both are
+// pinned against MergeFrom here: merging a frozen image, merging the
+// sketch, and merging the sketch after a Serialize/Deserialize round trip
+// must leave byte-identical accumulators, and the store's one header plus
+// the frozen image must be the sketch's Serialize() exactly.
+
+/// The accumulator's configuration: a SketchStore interval's (alpha 0.01,
+/// collapsing at 2048 buckets per sign).
+DDSketch EmptyAccumulator() {
+  return std::move(DDSketch::Create(DDSketchConfig{})).value();
+}
+
+/// A value drawn from the shapes that reach different sketch paths:
+/// both signs over up to 24 decades (wide enough to collapse at 2048
+/// buckets), zeros, clamped magnitudes and rejected non-finite inputs.
+double FrozenFuzzValue(Rng& rng, double decades) {
+  switch (rng.NextBounded(40)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    case 2:
+      return std::numeric_limits<double>::max();
+    case 3:
+      return -std::numeric_limits<double>::max();
+    case 4:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 5:
+      return std::numeric_limits<double>::infinity();
+    default: {
+      const double magnitude =
+          std::pow(10.0, (rng.NextDouble() - 0.5) * decades);
+      return (rng.NextU64() & 3) == 0 ? -magnitude : magnitude;
+    }
+  }
+}
+
+/// A sketch with the accumulator's mapping but `store` and `bound`, as a
+/// MERGE payload may declare them.
+DDSketch RandomSketch(Rng& rng, StoreType store, int32_t bound, int n,
+                      double decades) {
+  DDSketchConfig config;
+  config.store = store;
+  config.max_num_buckets = bound;
+  auto sketch = std::move(DDSketch::Create(config)).value();
+  for (int i = 0; i < n; ++i) sketch.Add(FrozenFuzzValue(rng, decades));
+  return sketch;
+}
+
+/// `sketch` decoded from a payload whose sum and min fields were
+/// rewritten, e.g. to -0.0 or NaN (values no Add produces).
+DDSketch WithSideStats(const DDSketch& sketch, double sum, double min) {
+  std::string counts;
+  PutVarint64(&counts, sketch.zero_count());
+  PutVarint64(&counts, sketch.rejected_count());
+  PutVarint64(&counts, sketch.clamped_count());
+  std::string payload = sketch.SerializedHeader() + counts;
+  PutFixedDouble(&payload, sum);
+  PutFixedDouble(&payload, min);
+  payload += sketch.Freeze().substr(counts.size() + 2 * sizeof(double));
+  return std::move(DDSketch::Deserialize(payload)).value();
+}
+
+/// Merges `x` into copies of `acc` three ways and requires one result;
+/// also pins the header + Freeze == Serialize split. Returns the merged
+/// accumulator.
+DDSketch ExpectEncodedMergeMatches(const DDSketch& acc, const DDSketch& x) {
+  const std::string frozen = x.Freeze();
+  EXPECT_EQ(x.SerializedHeader() + frozen, x.Serialize());
+  DDSketch by_merge = acc;
+  EXPECT_TRUE(by_merge.MergeFrom(x).ok());
+  DDSketch by_decoded = acc;
+  EXPECT_TRUE(
+      by_decoded.MergeFrom(DDSketch::Deserialize(x.Serialize()).value()).ok());
+  DDSketch by_encoded = acc;
+  by_encoded.MergeEncoded(frozen);
+  const std::string want = by_merge.Serialize();
+  EXPECT_EQ(by_decoded.Serialize(), want);
+  EXPECT_EQ(by_encoded.Serialize(), want);
+  return by_encoded;
+}
+
+TEST(FrozenImageTest, CollapseAtTheBucketBoundInEachSignsDirection) {
+  // 24 decades is ~2760 buckets at alpha 0.01: each sign's store of the
+  // accumulator must collapse (the positive one its lowest buckets, the
+  // negative one its highest), both from a payload whose own unbounded
+  // store kept every bucket and on a second merge into a full window.
+  for (const double sign : {1.0, -1.0}) {
+    DDSketchConfig unbounded;
+    unbounded.store = StoreType::kUnboundedDense;
+    auto wide = std::move(DDSketch::Create(unbounded)).value();
+    for (int e = -120; e <= 120; ++e) {
+      wide.Add(sign * std::pow(10.0, e / 10.0));
+    }
+    for (int i = 0; i < 3000; ++i) wide.Add(sign * (1.0 + i * 1e-3));
+    DDSketch acc = ExpectEncodedMergeMatches(EmptyAccumulator(), wide);
+    const Store& store = sign > 0 ? acc.positive_store() : acc.negative_store();
+    EXPECT_LE(store.max_index() - store.min_index(), 2047);
+    EXPECT_GT(wide.num_buckets(), acc.num_buckets());
+    ExpectEncodedMergeMatches(acc, wide);
+  }
+}
+
+TEST(FrozenImageTest, OddSideStatsMergeAsMergeFromDoes) {
+  Rng rng(99);
+  DDSketch acc = EmptyAccumulator();
+  acc.Add(3.0);
+  const DDSketch x = RandomSketch(rng, StoreType::kCollapsingLowestDense, 2048,
+                                  50, 6);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double sum : {-0.0, 0.0, nan}) {
+    for (const double min : {-0.0, nan, x.min()}) {
+      const DDSketch odd = WithSideStats(x, sum, min);
+      ExpectEncodedMergeMatches(EmptyAccumulator(), odd);
+      ExpectEncodedMergeMatches(acc, odd);
+    }
+  }
+}
+
+class FuzzFrozenImageTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FuzzFrozenImageTest, MergeEncodedMatchesMergeFrom) {
+  Rng rng(GetParam() * 2654435761u);
+  const StoreType kStores[] = {
+      StoreType::kCollapsingLowestDense, StoreType::kCollapsingHighestDense,
+      StoreType::kUnboundedDense, StoreType::kSparse};
+  DDSketch acc = EmptyAccumulator();
+  for (int round = 0; round < 40; ++round) {
+    // Mostly the store's own configuration; otherwise another store type
+    // or a wider (or, for sparse, a non-empty-count) bound.
+    const bool own = rng.NextBounded(2) == 0;
+    const StoreType store = own ? StoreType::kCollapsingLowestDense
+                                : kStores[rng.NextBounded(4)];
+    const int32_t bound = own ? 2048 : (rng.NextBounded(2) ? 4096 : 2048);
+    const int n = static_cast<int>(1 + rng.NextBounded(400));
+    const double decades = rng.NextBounded(3) == 0 ? 24.0 : 4.0;
+    DDSketch x = RandomSketch(rng, store, bound, n, decades);
+    if (rng.NextBounded(8) == 0) x = WithSideStats(x, -0.0, x.min());
+    acc = ExpectEncodedMergeMatches(acc, x);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "seed " << GetParam() << " round " << round;
+    }
+    if (rng.NextBounded(10) == 0) acc = EmptyAccumulator();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzFrozenImageTest,
+                         ::testing::Range<uint64_t>(1, 17));
 
 // ---------------------------------------------------------------------
 // Persistence-format corruption fuzz: unlike the checksum-free wire

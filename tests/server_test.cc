@@ -132,6 +132,41 @@ TEST_F(ServerTest, ServerSideErrorsReachTheClientAsStatuses) {
   EXPECT_EQ(stats.value().num_series, 0u);
 }
 
+TEST_F(ServerTest, TimestampsOutsideTheStoreBoundAreRefused) {
+  // INGEST/MERGE timestamps and QUERY bounds are unchecked int64 varints
+  // on the wire. Past the store's bound they are refused before the WAL,
+  // so no later CHECKPOINT's rollup ever sees them.
+  auto server = MustStart(Dir("bounds"));
+  SketchClient client = MustConnect(*server);
+  ASSERT_TRUE(client.IngestValue("svc", 100, 1.0).ok());
+  auto before = client.Stats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(client.IngestValue("svc", kMax, 1.0).code(),
+            StatusCode::kInvalidArgument);
+  auto worker = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  worker.Add(2.0);
+  EXPECT_EQ(client.Merge("svc", kMin, worker.Serialize()).code(),
+            StatusCode::kInvalidArgument);
+  auto after = client.Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().wal_offset, before.value().wal_offset);
+  EXPECT_EQ(after.value().num_intervals, 1u);
+  auto epoch = client.Checkpoint();
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  auto refused = client.Query("svc", kMin, 5, {0.5});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  auto answered = client.Query("svc", 0, 200, {0.5});
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered.value()[0], 1.0);
+  server->Stop();
+  auto reopened = DurableSketchStore::Open(Dir("bounds"), {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().store().num_intervals(), 1u);
+}
+
 TEST_F(ServerTest, ConcurrentIngestBatchesIntoOneFsync) {
   // With a huge commit interval and commit_batch == K, K concurrent
   // ingests must be staged together and committed with exactly one

@@ -8,7 +8,10 @@
 
 #include "data/datasets.h"
 #include "data/ground_truth.h"
+#include "timeseries/snapshot.h"
+#include "util/crc32.h"
 #include "util/rng.h"
+#include "util/varint.h"
 
 namespace dd {
 namespace {
@@ -331,6 +334,136 @@ TEST(SketchStoreTest, NegativeTimestampsWork) {
   auto empty = store.QueryRange("s", -20, -10);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty.value().empty());
+}
+
+TEST(SketchStoreTest, WritesThawIntervalsAndCompactFreezesThem) {
+  // An interval that takes no writes is held as its encoded buckets, a
+  // few hundred bytes; one taking writes is a dense sketch of kilobytes
+  // until the next Compact freezes it again. The byte accounting reports
+  // what is held, and no form changes an answer.
+  SketchStore store = MakeStore();
+  auto worker = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  for (int i = 0; i < 50; ++i) worker.Add(1.0 + i);
+  for (int64_t t = 0; t < 600; t += 10) {
+    ASSERT_TRUE(store.IngestSketch("s", t, worker).ok());  // arrives frozen
+  }
+  const size_t frozen = store.size_in_bytes();
+  EXPECT_LT(frozen / 60, 512u);
+
+  ASSERT_TRUE(store.IngestValue("s", 5, 2.0).ok());      // thaws [0, 10)
+  ASSERT_TRUE(store.IngestSketch("s", 15, worker).ok());  // thaws [10, 20)
+  EXPECT_GT(store.size_in_bytes(), frozen + 2048);
+  ASSERT_TRUE(store.IngestSketch("s", 15, worker).ok());  // stays dense
+  auto thawed = store.QueryRange("s", 0, 600);
+  ASSERT_TRUE(thawed.ok());
+  EXPECT_EQ(thawed.value().count(), 60u * 50 + 1 + 2 * 50);
+
+  store.Compact(0);  // folds nothing here, freezes everything
+  EXPECT_EQ(store.num_intervals(), 60u);
+  EXPECT_LT(store.size_in_bytes(), frozen + 256);
+  EXPECT_EQ(store.QueryRange("s", 0, 600).value().Serialize(),
+            thawed.value().Serialize());
+  const std::vector<LevelUsage> levels = store.LevelStats();
+  EXPECT_EQ(levels[0].retained_bytes + levels[1].retained_bytes,
+            store.size_in_bytes() - sizeof(SketchStore) - 1);
+}
+
+TEST(SketchStoreTest, TimestampsOutsideTheBoundAreRefused) {
+  // Ingest timestamps and query bounds arrive unchecked from the wire.
+  // Past +/-kMaxTimestamp they are refused, so no interval arithmetic
+  // (DataHorizon's start + width, a query's start - width + 1) can
+  // overflow; the bound itself works end to end, snapshot included.
+  SketchStore store = MakeStore();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(store.IngestValue("s", kMax, 1.0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.num_series(), 0u);
+  store.Compact(kMax);
+  ASSERT_TRUE(store.IngestValue("s", 5, 1.0).ok());
+  EXPECT_EQ(store.QueryRange("s", kMin, 5).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.QueryRange("s", 0, kMax).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.QuerySeries("s", 0, 10, 0.5, kMax).status().code(),
+            StatusCode::kInvalidArgument);
+  auto worker = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  worker.Add(2.0);
+  EXPECT_EQ(store.IngestSketch("s", kMin, worker).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.IngestValues("s", kMaxTimestamp + 1, std::vector{1.0})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store.num_intervals(), 1u);
+
+  ASSERT_TRUE(store.IngestValue("s", kMaxTimestamp, 3.0).ok());
+  ASSERT_TRUE(store.IngestSketch("s", -kMaxTimestamp, worker).ok());
+  store.Compact(kMin);
+  store.Compact(kMax);
+  auto all = store.QueryRange("s", -kMaxTimestamp, kMaxTimestamp);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  // The interval holding kMaxTimestamp starts before it, so it counts.
+  EXPECT_EQ(all.value().count(), 3u);
+  auto points = store.QuerySeries("s", -kMaxTimestamp, kMaxTimestamp, 0.5,
+                                  kMaxTimestamp);
+  ASSERT_TRUE(points.ok()) << points.status().ToString();
+  EXPECT_EQ(points.value().size(), 2u);
+  auto reloaded = DecodeSnapshot(EncodeSnapshot(store, 1));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(EncodeSnapshot(reloaded.value().store, 1),
+            EncodeSnapshot(store, 1));
+  // The ladder is capped too, so its cutoffs stay in range.
+  SketchStoreOptions options;
+  options.levels = {{10, kMaxLevelSeconds + 1}, {60, 0}};
+  EXPECT_FALSE(SketchStore::Create(options).ok());
+  options.levels = {{10, 600}, {kMaxLevelSeconds * 2, 0}};
+  EXPECT_FALSE(SketchStore::Create(options).ok());
+}
+
+/// `image` with the first occurrence of `from` in its body replaced by
+/// `to` and the body CRC recomputed: a snapshot that passes the checksum
+/// and must be refused by what the decoder checks after it.
+std::string PatchSnapshotBody(const std::string& image, const std::string& from,
+                              const std::string& to) {
+  constexpr size_t kBodyAt = 9;  // magic, version, fixed32 CRC
+  std::string body = image.substr(kBodyAt);
+  const size_t at = body.find(from);
+  EXPECT_NE(at, std::string::npos);
+  body.replace(at, from.size(), to);
+  std::string patched = image.substr(0, 5);
+  PutFixed32(&patched, Crc32c(body));
+  return patched + body;
+}
+
+TEST(SketchStoreTest, SnapshotIntervalsAreCheckedBeforeTheyAreStoredFrozen) {
+  // Decode stores each interval frozen behind the store's one header, so
+  // an interval whose own header differs (here: another store type, a
+  // payload Deserialize accepts and the mapping check passes) is
+  // Corruption, as is an interval start outside the timestamp bound.
+  SketchStore store = MakeStore();
+  ASSERT_TRUE(store.IngestValue("s", kMaxTimestamp, 1.0).ok());
+  const std::string image = EncodeSnapshot(store, 1);
+  ASSERT_TRUE(DecodeSnapshot(image).ok());
+
+  auto prototype = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  const std::string header = prototype.SerializedHeader();
+  std::string other_store = header;
+  other_store[14] = static_cast<char>(StoreType::kUnboundedDense);
+  EXPECT_EQ(DecodeSnapshot(PatchSnapshotBody(image, header, other_store))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+
+  // The raw interval holding kMaxTimestamp starts at 2^61 - 2; 2^61 + 8
+  // is aligned too, one interval past the bound, with as long a varint.
+  std::string start, past;
+  PutVarintSigned64(&start, kMaxTimestamp - 2);
+  PutVarintSigned64(&past, kMaxTimestamp + 8);
+  ASSERT_EQ(start.size(), past.size());
+  EXPECT_EQ(DecodeSnapshot(PatchSnapshotBody(image, start, past))
+                .status()
+                .code(),
+            StatusCode::kCorruption);
 }
 
 TEST(SketchStoreTest, AccuracyGuaranteeSurvivesStorePath) {
