@@ -104,43 +104,42 @@ uint64_t TagAdmissionLedger::RetryHintMsLocked(const Tag& tag,
   return static_cast<uint64_t>(ms);
 }
 
-bool TagAdmissionLedger::TryAdmit(uint32_t tag_id, uint64_t bytes,
-                                  uint64_t* retry_after_ms) {
+uint64_t TagAdmissionLedger::TryAdmit(uint32_t tag_id, uint64_t bytes_each,
+                                      uint64_t count,
+                                      uint64_t* retry_after_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   if (tag_id >= tags_.size()) tag_id = kDefaultTagId;
   Tag& tag = tags_[tag_id];
-  if (total_budget_ == 0) {
-    tag.staged += bytes;
-    total_staged_ += bytes;
-    return true;
+  uint64_t admitted = count;
+  if (total_budget_ != 0) {
+    // Borrowing beyond the floor is doubly bounded: by the tag's
+    // throttled share of the pool, and by what the pool has left after
+    // every other tag's overflow.
+    const uint64_t pool_cap = static_cast<uint64_t>(
+        static_cast<double>(shared_pool_) * tag.share);
+    const uint64_t allowed = tag.floor + pool_cap;
+    // Overflow staged by every *other* tag. Floors never move after
+    // construction, so the pool cannot oversubscribe — the clamp is
+    // pure defense against a future bookkeeping bug.
+    const uint64_t others =
+        SharedUsedLocked() - Overflow(tag.staged, tag.floor);
+    const uint64_t shared_free =
+        shared_pool_ > others ? shared_pool_ - others : 0;
+    const uint64_t limit = std::min(allowed, tag.floor + shared_free);
+    const uint64_t room = limit > tag.staged ? limit - tag.staged : 0;
+    if (bytes_each > 0) admitted = std::min(count, room / bytes_each);
+    if (admitted < count) {
+      tag.busy += count - admitted;
+      if (retry_after_ms != nullptr) {
+        // The deficit of the first refused frame.
+        const uint64_t proposed = tag.staged + (admitted + 1) * bytes_each;
+        *retry_after_ms = RetryHintMsLocked(tag, proposed - limit);
+      }
+    }
   }
-  const uint64_t proposed = tag.staged + bytes;
-  // Borrowing beyond the floor is doubly bounded: by the tag's
-  // throttled share of the pool, and by what the pool has left after
-  // every other tag's overflow.
-  const uint64_t pool_cap = static_cast<uint64_t>(
-      static_cast<double>(shared_pool_) * tag.share);
-  const uint64_t allowed = tag.floor + pool_cap;
-  // Overflow staged by every *other* tag. Floors never move after
-  // construction, so the pool cannot oversubscribe — the clamp is pure
-  // defense against a future bookkeeping bug.
-  const uint64_t others =
-      SharedUsedLocked() - Overflow(tag.staged, tag.floor);
-  const uint64_t shared_free =
-      shared_pool_ > others ? shared_pool_ - others : 0;
-  const uint64_t globally_allowed = tag.floor + shared_free;
-  if (proposed <= allowed && proposed <= globally_allowed) {
-    tag.staged = proposed;
-    total_staged_ += bytes;
-    return true;
-  }
-  tag.busy++;
-  if (retry_after_ms != nullptr) {
-    const uint64_t limit = std::min(allowed, globally_allowed);
-    const uint64_t deficit = proposed > limit ? proposed - limit : bytes;
-    *retry_after_ms = RetryHintMsLocked(tag, deficit);
-  }
-  return false;
+  tag.staged += admitted * bytes_each;
+  total_staged_ += admitted * bytes_each;
+  return admitted;
 }
 
 void TagAdmissionLedger::Refund(uint32_t tag_id, uint64_t bytes) {

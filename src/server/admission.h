@@ -92,12 +92,16 @@ class TagAdmissionLedger {
   /// the SET_TAG and leave the connection on its current tag).
   std::optional<uint32_t> RegisterTag(std::string_view tag);
 
-  /// Tries to stage `bytes` for `tag_id`. Admits when the tag stays
-  /// within its floor, or when the overflow fits both the shared pool
-  /// and the tag's throttled share of it. On refusal returns false,
-  /// charges the tag a busy rejection, and sets *retry_after_ms to the
-  /// tag's refill-derived hint (never 0).
-  bool TryAdmit(uint32_t tag_id, uint64_t bytes, uint64_t* retry_after_ms);
+  /// Tries to stage `count` frames of `bytes_each` for `tag_id` and
+  /// admits the longest prefix that fits: a frame fits when the tag
+  /// stays within its floor, or when the overflow fits both the shared
+  /// pool and the tag's throttled share of it. Returns the frames
+  /// admitted. When some are refused, charges the tag one busy
+  /// rejection per refused frame and sets *retry_after_ms to the tag's
+  /// refill-derived hint for the first of them (never 0). A single
+  /// frame is a count of 1.
+  uint64_t TryAdmit(uint32_t tag_id, uint64_t bytes_each, uint64_t count,
+                    uint64_t* retry_after_ms);
 
   /// Returns `bytes` previously granted to `tag_id` (commit completion
   /// or staging unwind). Clamps at zero rather than underflowing so a

@@ -32,14 +32,15 @@ bool IsIngestOp(Request::Op op) {
 }
 
 /// Moves a decoded INGEST/MERGE into the record it is logged as: the
-/// series and payload bytes are decoded once and never copied after.
+/// series and payload bytes are decoded once and never copied after. An
+/// INGEST starts a unit of one value that later frames may join.
 WalRecord ToWalRecord(Request&& request) {
   WalRecord record;
   record.series = std::move(request.series);
   record.timestamp = request.timestamp;
   if (request.op == Request::Op::kIngest) {
-    record.type = WalRecord::Type::kIngestValue;
-    record.value = request.value;
+    record.type = WalRecord::Type::kIngestValues;
+    record.values.push_back(request.value);
   } else {
     record.type = WalRecord::Type::kIngestSketch;
     record.payload = std::move(request.payload);
@@ -47,15 +48,21 @@ WalRecord ToWalRecord(Request&& request) {
   return record;
 }
 
-/// Fixed per-record charge against the staged-bytes budget on top of the
+/// Fixed per-frame charge against the staged-bytes budget on top of the
 /// variable series/payload bytes: queue node, WalRecord struct, response
-/// slot. Keeps tiny records from being "free" under admission control.
+/// slot. Keeps tiny frames from being "free" under admission control. A
+/// unit is charged this for each of its frames, as if they were staged
+/// one by one.
 constexpr uint64_t kStagedRecordOverhead = 64;
 
-/// Most records one connection stages in one run; a run's cap is
+/// Most frames one connection stages in one run; a run's cap is
 /// min(commit_batch x shards, this). The connection's reads pause until
 /// its run commits, so one firehose client cannot monopolize the budget.
-constexpr size_t kMaxRunRecords = 1024;
+constexpr size_t kMaxRunFrames = 1024;
+
+/// How long a failed background checkpoint or fence write waits before
+/// the maintenance thread tries it again.
+constexpr auto kRetryBackoff = std::chrono::seconds(5);
 
 /// The throttle controller ignores a tag's latency window below this
 /// many samples — a handful of acks is noise, not a p99.
@@ -108,12 +115,12 @@ LatencyOp NonIngestLatencyOp(Request::Op op) {
 }  // namespace
 
 /// One staged pipelined run of INGEST/MERGE requests from a single
-/// connection. Heap-allocated and owned by the Conn; shard committers
-/// hold pointers into `entries` (filled during collection, never
-/// reallocated once staged) and decrement `remaining`, and whichever
-/// committer finishes last posts the run back to `loop`. While a run is
-/// in flight its connection is not read — one run per connection at a
-/// time.
+/// connection, as units. Heap-allocated and owned by the Conn; shard
+/// committers hold pointers into `entries` (filled during collection,
+/// never reallocated once staged) and decrement `remaining`, and
+/// whichever committer finishes last posts the run back to `loop`.
+/// While a run is in flight its connection is not read — one run per
+/// connection at a time.
 struct SketchServer::IngestRun {
   EventLoop* loop = nullptr;
   Conn* conn = nullptr;
@@ -122,11 +129,11 @@ struct SketchServer::IngestRun {
   /// one buffered burst, so a per-entry stamp would add clock reads
   /// without adding information).
   TimePoint start{};
-  std::vector<PendingIngest> entries;  // in request order
+  std::vector<PendingIngest> entries;  // units, in request order
   // Collection grows `entries`; reallocation must move each record's
   // bytes, not copy them.
   static_assert(std::is_nothrow_move_constructible_v<PendingIngest>);
-  /// Outstanding completions: one per staged entry, plus one staging
+  /// Outstanding completions: one per staged unit, plus one staging
   /// sentinel held by the event loop until every entry is routed (so a
   /// committer can never see the count hit zero mid-staging).
   std::atomic<size_t> remaining{0};
@@ -442,17 +449,16 @@ class SketchServer::EventLoop {
       // Collect the pipelined run of ingest requests already buffered,
       // so one client's burst becomes one staged group per shard. The
       // cap scales with the shard count (the run is split across shard
-      // queues) but is bounded per connection by kMaxRunRecords.
+      // queues) but is bounded per connection by kMaxRunFrames.
       const size_t run_cap =
           std::min(server_->options_.commit_batch * server_->shards_.size(),
-                   kMaxRunRecords);
+                   kMaxRunFrames);
       auto run = std::make_unique<IngestRun>();
       run->loop = this;
       run->conn = c;
       run->start = unit_start;
-      run->entries.emplace_back().record =
-          ToWalRecord(std::move(request).value());
-      while (run->entries.size() < run_cap) {
+      AddFrame(run.get(), std::move(request).value());
+      for (size_t frames = 1; frames < run_cap; ++frames) {
         std::string_view next;
         auto more = c->io.PeekBufferedFrame(&next);
         if (!more.ok()) {
@@ -473,8 +479,7 @@ class SketchServer::EventLoop {
           break;
         }
         c->io.ConsumePeekedFrame();
-        run->entries.emplace_back().record =
-            ToWalRecord(std::move(next_request).value());
+        AddFrame(run.get(), std::move(next_request).value());
       }
       c->run = std::move(run);
       if (server_->StageIngestRun(c->run.get())) {
@@ -482,6 +487,23 @@ class SketchServer::EventLoop {
       }
       // Otherwise reads stay paused until the completion is posted.
     }
+  }
+
+  /// Adds one decoded INGEST/MERGE frame to `run`: an INGEST joins the
+  /// unit of INGESTs it follows when its series and timestamp are the
+  /// unit's; any other frame starts a unit of its own.
+  void AddFrame(IngestRun* run, Request&& request) {
+    if (request.op == Request::Op::kIngest && !run->entries.empty()) {
+      PendingIngest& last = run->entries.back();
+      if (last.record.type == WalRecord::Type::kIngestValues &&
+          last.record.series == request.series &&
+          last.record.timestamp == request.timestamp) {
+        last.record.values.push_back(request.value);
+        ++last.frames;
+        return;
+      }
+    }
+    run->entries.emplace_back().record = ToWalRecord(std::move(request));
   }
 
   /// SUBSCRIBE: validate, then hand the socket to the replication
@@ -531,36 +553,52 @@ class SketchServer::EventLoop {
   }
 
   /// Writes the run's responses in request order and releases the run.
+  /// Every frame of a unit shares its outcome, so each unit's response
+  /// (and its BUSY refusal, if admission refused a suffix) is encoded
+  /// once and copied once per frame.
   void FinishRun(Conn* c) {
     IngestRun* run = c->run.get();
     std::string out;
     const TimePoint now = Clock::now();
-    // Entries per latency row. Every entry shares the run's stamp, so one
+    // Frames per latency row. Every frame shares the run's stamp, so one
     // (latency, count) Add per row records the same buckets, count and
-    // max as an Add per entry.
+    // max as an Add per frame.
     uint64_t per_op[kNumLatencyOps] = {};
     uint64_t acked = 0;
+    const auto answer = [&out](const Response& response, uint32_t frames) {
+      const std::string encoded = EncodeResponse(response);
+      for (uint32_t i = 0; i < frames; ++i) out += encoded;
+    };
     for (const PendingIngest& entry : run->entries) {
       Response response;
       // The committer moved the record's bytes out; its type stays.
-      response.op = entry.record.type == WalRecord::Type::kIngestValue
-                        ? Request::Op::kIngest
-                        : Request::Op::kMerge;
-      response.code = entry.result.code();
-      response.message = entry.result.message();
-      response.wal_offset = entry.wal_offset;
-      response.retry_after_ms = entry.retry_after_ms;
-      out += EncodeResponse(response);
-      // A BUSY refusal's ack is the cost of saying no, not an ingest
-      // latency; it gets its own row. Only committed entries count as
-      // acked for the tag sketch — a validation failure's round trip
-      // would skew the p99 the throttle controller judges by.
-      const bool busy = response.code == StatusCode::kBusy;
-      if (entry.result.ok()) ++acked;
-      ++per_op[static_cast<size_t>(
-          busy ? LatencyOp::kBusy
-               : (response.op == Request::Op::kIngest ? LatencyOp::kIngest
-                                                      : LatencyOp::kMerge))];
+      response.op = entry.record.type == WalRecord::Type::kIngestSketch
+                        ? Request::Op::kMerge
+                        : Request::Op::kIngest;
+      const uint32_t answered = entry.frames - entry.busy_frames;
+      if (answered > 0) {
+        response.code = entry.result.code();
+        response.message = entry.result.message();
+        response.wal_offset = entry.wal_offset;
+        answer(response, answered);
+        // Only committed frames count as acked for the tag sketch — a
+        // validation failure's round trip would skew the p99 the
+        // throttle controller judges by.
+        if (entry.result.ok()) acked += answered;
+        per_op[static_cast<size_t>(response.op == Request::Op::kIngest
+                                       ? LatencyOp::kIngest
+                                       : LatencyOp::kMerge)] += answered;
+      }
+      if (entry.busy_frames > 0) {
+        // A BUSY refusal's ack is the cost of saying no, not an ingest
+        // latency; it gets its own row.
+        response.code = StatusCode::kBusy;
+        response.message = "staged-bytes budget exceeded; retry with backoff";
+        response.wal_offset = 0;
+        response.retry_after_ms = entry.retry_after_ms;
+        answer(response, entry.busy_frames);
+        per_op[static_cast<size_t>(LatencyOp::kBusy)] += entry.busy_frames;
+      }
     }
     for (size_t op = 0; op < kNumLatencyOps; ++op) {
       if (per_op[op] > 0) {
@@ -874,7 +912,6 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
     for (size_t i = 0; i < n; ++i) {
       run->entries[i].run = run;
       run->entries[i].result = refusal;
-      run->entries[i].done = true;
     }
     return true;
   }
@@ -888,36 +925,39 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
     // thread — a bad request is rejected here and never poisons or
     // stalls a committer batch.
     entry.result = store_->ValidateRecord(entry.record);
-    if (!entry.result.ok()) {
-      entry.done = true;
-      continue;
-    }
+    if (!entry.result.ok()) continue;
     // Admission control: charge the connection's tag ledger before the
-    // record can queue. A record that would blow the tag's allowance
-    // (floor + borrowable pool share) is refused with BUSY — never
-    // staged, never acknowledged — so one flooding tenant exhausts its
-    // own budget while every other tag keeps its floor. The refusal
-    // carries the tag's refill-derived retry hint.
-    const uint64_t bytes = entry.record.series.size() +
-                           entry.record.payload.size() + kStagedRecordOverhead;
+    // unit can queue, each frame what it would cost alone. Frames that
+    // would blow the tag's allowance (floor + borrowable pool share) are
+    // refused with BUSY — never staged, never acknowledged — so one
+    // flooding tenant exhausts its own budget while every other tag
+    // keeps its floor. The ledger admits the unit's longest prefix that
+    // fits; the refused suffix is recorded in this entry (entries must
+    // not move once staging starts) and carries the tag's
+    // refill-derived retry hint.
+    const uint64_t bytes_each = entry.record.series.size() +
+                                entry.record.payload.size() +
+                                kStagedRecordOverhead;
     entry.tag_id = run->conn->tag_id;
     uint64_t hint_ms = 0;
-    if (!ledger_->TryAdmit(entry.tag_id, bytes, &hint_ms)) {
-      entry.result =
-          Status::Busy("staged-bytes budget exceeded; retry with backoff");
+    const uint64_t admitted =
+        ledger_->TryAdmit(entry.tag_id, bytes_each, entry.frames, &hint_ms);
+    if (admitted < entry.frames) {
+      entry.busy_frames = entry.frames - static_cast<uint32_t>(admitted);
       entry.retry_after_ms = hint_ms;
-      entry.done = true;
-      busy_rejections_.fetch_add(1, std::memory_order_relaxed);
-      continue;
+      busy_rejections_.fetch_add(entry.busy_frames,
+                                 std::memory_order_relaxed);
+      if (admitted == 0) continue;
+      entry.record.values.resize(admitted);  // only a unit of values splits
     }
-    entry.bytes = bytes;
+    entry.bytes = bytes_each * admitted;
     by_shard[store_->ShardOf(entry.record.series)].push_back(&entry);
     ++staged;
   }
   if (staged == 0) return true;  // everything refused: respond inline
-  // One completion per staged entry plus the staging sentinel: a
+  // One completion per staged unit plus the staging sentinel: a
   // committer finishing instantly can never drive the count to zero
-  // while entries are still being routed below.
+  // while units are still being routed below.
   run->remaining.store(staged + 1, std::memory_order_relaxed);
   for (size_t k = 0; k < by_shard.size(); ++k) {
     if (by_shard[k].empty()) continue;
@@ -931,7 +971,6 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
                          : shard.commit_error;
       for (PendingIngest* entry : by_shard[k]) {
         entry->result = status;
-        entry->done = true;
         ledger_->Refund(entry->tag_id, entry->bytes);
         entry->bytes = 0;
       }
@@ -943,7 +982,7 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
     }
     shard.queue_cv.notify_all();
   }
-  // Drop the sentinel. If it was the last count, every staged entry was
+  // Drop the sentinel. If it was the last count, every staged unit was
   // already completed (all groups refused, or the committers raced
   // ahead) and no completion will be posted — finish inline.
   return run->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
@@ -1228,7 +1267,6 @@ void SketchServer::CommitOneBatch(size_t shard_index,
     for (PendingIngest* pending : batch) {
       pending->result = final_status;
       pending->wal_offset = offset;
-      pending->done = true;
       IngestRun* run = pending->run;
       if (run->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         run->loop->PostCompletion(run);
@@ -1275,6 +1313,8 @@ void SketchServer::MaintenanceLoop() {
     if (checkpoints && !writes_fenced_.load(std::memory_order_relaxed)) {
       CheckpointStep();
     }
+    // Only a fenced server can hold a fence that did not reach disk.
+    if (writes_fenced_.load(std::memory_order_relaxed)) FenceRetryStep();
     lk.lock();
   }
 }
@@ -1339,9 +1379,33 @@ void SketchServer::CheckpointStep() {
                    "sketchd: background checkpoint of shard %zu failed "
                    "(will retry in 5s): %s\n",
                    k, status.ToString().c_str());
-      shard.checkpoint_backoff_until = Clock::now() + std::chrono::seconds(5);
+      shard.checkpoint_backoff_until = Clock::now() + kRetryBackoff;
     }
     shard.checkpoint_deadline_base = Clock::now();
+  }
+}
+
+void SketchServer::FenceRetryStep() {
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    std::lock_guard<std::mutex> store_lk(shards_[k]->store_mu);
+    const DurableSketchStore& shard_store = store_->shard(k);
+    if (!shard_store.fence_pending() ||
+        Clock::now() < shards_[k]->fence_backoff_until) {
+      continue;
+    }
+    FenceShard(k, shard_store.fence_token());
+  }
+}
+
+void SketchServer::FenceShard(size_t k, uint64_t token) {
+  // Until the LOCK write lands a restart would reopen this shard
+  // unfenced, at its old token, and take writes again.
+  if (Status status = store_->shard(k).Fence(token); !status.ok()) {
+    std::fprintf(stderr,
+                 "sketchd: writing the fence of shard %zu failed (will "
+                 "retry in 5s): %s\n",
+                 k, status.ToString().c_str());
+    shards_[k]->fence_backoff_until = Clock::now() + kRetryBackoff;
   }
 }
 
@@ -1373,7 +1437,7 @@ Response SketchServer::PrepareSubscribe(const Request& request) {
     if (request.repl_token > shard_store.fence_token()) {
       // The subscriber has seen a newer primary than us: we were
       // deposed while we weren't looking. Self-fence before refusing.
-      (void)shard_store.Fence(request.repl_token);
+      FenceShard(k, request.repl_token);
     }
     token = std::max(token, shard_store.fence_token());
     fenced = fenced || shard_store.fenced();
@@ -1394,7 +1458,7 @@ Response SketchServer::PrepareSubscribe(const Request& request) {
 void SketchServer::FenceSelf(uint64_t observed_token) {
   for (size_t k = 0; k < shards_.size(); ++k) {
     std::lock_guard<std::mutex> lk(shards_[k]->store_mu);
-    (void)store_->shard(k).Fence(observed_token);
+    FenceShard(k, observed_token);
   }
   writes_fenced_.store(true, std::memory_order_relaxed);
   // Fence the shipper too, whichever path discovered the demotion:

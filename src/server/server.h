@@ -27,6 +27,13 @@
 // back to the owning loop through a wake-up queue (eventfd), so the
 // socket write happens on the loop thread, never on a committer.
 //
+// Units: while collecting a pipelined run, the loop folds consecutive
+// INGEST frames of one series at one timestamp into one unit, a
+// kIngestValues WAL record (timeseries/wal.h). A unit is validated,
+// admitted, queued, logged, refunded and completed once, and its
+// encoded response is copied once per frame. A MERGE frame is a unit
+// of its own.
+//
 // Admission control: the staged-bytes budget caps the bytes
 // validated-but-not-yet-durable across all shards, split into per-tag
 // ledgers (protocol v7, server/admission.h): each connection charges
@@ -37,21 +44,24 @@
 // --tag-p99-target-us is set, the maintenance thread's throttle duty
 // drains each tag's ack-latency window every 200 ms and halves a
 // breaching tag's borrowable share, decaying it back on recovery. A
-// connection's staged run holds at most min(commit_batch × shards,
-// 1024) records, and connections that stall mid-frame (slow loris),
-// stop reading their responses, or sit idle past the configured
-// deadlines are shed.
+// unit is charged what its frames would be one by one, and the ledger
+// admits the longest prefix of it that fits: the refused rest of the
+// unit gets BUSY, frame by frame. A connection's staged run holds at
+// most min(commit_batch × shards, 1024) frames, and connections that
+// stall mid-frame (slow loris), stop reading their responses, or sit
+// idle past the configured deadlines are shed.
 //
 // Group commit: each shard's committer drains up to `commit_batch`
-// staged records per commit — N acknowledged ingests for one fsync,
-// with up to `shards` fsyncs in flight at once. A client sees OK only
-// after the shard batch holding its record is durable.
+// staged units (WAL records) per commit — many acknowledged frames for
+// one fsync, with up to `shards` fsyncs in flight at once. A client
+// sees OK only after the shard batch holding its frame is durable.
 //
-// One maintenance thread runs both periodic policies on one ~50 ms
-// tick: the throttle duty first (at most every 200 ms), then the
-// background checkpoint triggers. A background checkpoint can therefore
-// delay the next throttle step by its own length; that step's window
-// then simply covers the longer span.
+// One maintenance thread runs the periodic duties on one ~50 ms tick:
+// the throttle duty first (at most every 200 ms), then the background
+// checkpoint triggers, then the retry of any fence whose LOCK write
+// failed. A background checkpoint can therefore delay the next
+// throttle step by its own length; that step's window then simply
+// covers the longer span.
 //
 // Self-instrumentation: every latency row — six per-op rows and a
 // cumulative plus a window row per tag id — is a server-wide
@@ -244,17 +254,19 @@ class SketchServer {
   struct Conn;
   struct IngestRun;
 
-  /// One staged INGEST/MERGE waiting for a shard committer. Lives in
+  /// One staged unit waiting for a shard committer: a MERGE frame, or a
+  /// run of INGEST frames logged as one kIngestValues record. Lives in
   /// its run's entries array (address-stable once staged); the shard
   /// queue holds pointers.
   struct PendingIngest {
     WalRecord record;
-    Status result;
+    uint32_t frames = 1;       // request frames this unit answers
+    uint32_t busy_frames = 0;  // its trailing frames refused with BUSY
+    Status result;             // the outcome of the other frames
     uint64_t wal_offset = 0;
     uint64_t bytes = 0;  // admission-budget charge; 0 = never admitted
     uint32_t tag_id = 0; // ledger the charge (and refund) belongs to
-    uint64_t retry_after_ms = 0;  // BUSY hint carried to the response
-    bool done = false;
+    uint64_t retry_after_ms = 0;  // BUSY hint carried to the responses
     IngestRun* run = nullptr;  // completion rendezvous
   };
 
@@ -286,6 +298,8 @@ class SketchServer {
     /// here — a snapshot write is expensive, so a persistently failing
     /// one must not be retried every poll.
     std::chrono::steady_clock::time_point checkpoint_backoff_until{};
+    /// Likewise for the retry of a fence whose LOCK write failed.
+    std::chrono::steady_clock::time_point fence_backoff_until{};
     uint64_t background_checkpoints = 0;
   };
 
@@ -301,12 +315,11 @@ class SketchServer {
   /// worded for a follower ("this server is a follower; " +
   /// `follower_hint`) or a fenced ex-primary.
   Status CheckWritable(const char* follower_hint) const;
-  /// Validates, admission-checks, and stages one run of INGEST/MERGE
-  /// requests across the owning shards' queues. Returns true when the
-  /// run is already complete (everything refused at validation,
-  /// admission, or staging) — the caller responds inline; otherwise at
-  /// least one committer owes a completion and will post the run back
-  /// to its event loop.
+  /// Validates, admission-checks, and stages one run of units across
+  /// the owning shards' queues. Returns true when the run is already
+  /// complete (everything refused at validation, admission, or staging)
+  /// — the caller responds inline; otherwise at least one committer
+  /// owes a completion and will post the run back to its event loop.
   bool StageIngestRun(IngestRun* run);
   void CommitLoop(size_t shard_index);
   /// Drains up to commit_batch pending entries from shard `k`, commits
@@ -322,6 +335,12 @@ class SketchServer {
   void ThrottleStep();
   /// Checkpoints every shard whose WAL size or age trigger has fired.
   void CheckpointStep();
+  /// Rewrites the LOCK of every shard whose fence is still pending.
+  void FenceRetryStep();
+  /// Fences shard `k` (its store_mu held) at `token`. A failed LOCK
+  /// write is logged and left pending for FenceRetryStep, after a
+  /// backoff.
+  void FenceShard(size_t k, uint64_t token);
   /// Validates a SUBSCRIBE request (role, fencing token, position
   /// count) and builds its response; called on the loop thread before
   /// the connection is handed to the shipper. A subscriber announcing a

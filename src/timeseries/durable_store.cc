@@ -60,6 +60,23 @@ Result<DDSketch> DecodeSketchRecord(const SketchStore& store,
   return sketch;
 }
 
+/// Checks a raw-value record (type 2 or 3) for a merge: its timestamp
+/// is in bounds, and a type-3 record holds at least one value (a count
+/// of 0 would encode a record that replay refuses).
+Status CheckValueRecord(const WalRecord& record) {
+  if (record.type == WalRecord::Type::kIngestValues &&
+      record.values.empty()) {
+    return Status::InvalidArgument("value record holds no values");
+  }
+  return SketchStore::CheckTimestamp(record.timestamp);
+}
+
+/// The values a raw-value record adds, in order.
+std::span<const double> ValuesOf(const WalRecord& record) {
+  if (record.type == WalRecord::Type::kIngestValues) return record.values;
+  return {&record.value, 1};
+}
+
 /// The one decode: validates every record for a merge into `store`,
 /// deserializing each sketch payload once into *sketches (record order).
 /// Runs before anything reaches the log, so the WAL only ever holds
@@ -77,7 +94,8 @@ Status DecodeRecords(const SketchStore& store,
         break;
       }
       case WalRecord::Type::kIngestValue:
-        DD_RETURN_IF_ERROR(SketchStore::CheckTimestamp(record.timestamp));
+      case WalRecord::Type::kIngestValues:
+        DD_RETURN_IF_ERROR(CheckValueRecord(record));
         break;
       default:
         return Status::Corruption("unknown WAL record type");
@@ -88,12 +106,13 @@ Status DecodeRecords(const SketchStore& store,
 
 /// The one merge, shared by the committer, the follower and recovery:
 /// `sketches` are DecodeRecords' output for `records`. Runs of
-/// consecutive value records sharing a series and raw interval collapse
-/// into one IngestValues call — one interval lookup and one
-/// DDSketch::AddBatch pass instead of a lookup and an add per record.
-/// Each interval sketch sees its values and merges in record order, and
-/// AddBatch sums in input order, so the merged state is bit-identical
-/// however the record stream was cut into batches.
+/// consecutive value records (type 2 or 3) sharing a series and raw
+/// interval collapse into one IngestValues call — one interval lookup
+/// and one DDSketch::AddBatch pass instead of a lookup and an add per
+/// record. Each interval sketch sees its values and merges in record
+/// order, and AddBatch sums in input order, so the merged state is
+/// bit-identical however the values were cut into records and the
+/// records into batches.
 Status MergeRecords(SketchStore* store, std::span<const WalRecord> records,
                     std::span<const DDSketch> sketches) {
   std::vector<double> run_values;
@@ -111,12 +130,13 @@ Status MergeRecords(SketchStore* store, std::span<const WalRecord> records,
     size_t j = i;
     for (; j < records.size(); ++j) {
       const WalRecord& next = records[j];
-      if (next.type != WalRecord::Type::kIngestValue ||
+      if (next.type == WalRecord::Type::kIngestSketch ||
           next.series != record.series ||
           store->RawStart(next.timestamp) != interval) {
         break;
       }
-      run_values.push_back(next.value);
+      const std::span<const double> values = ValuesOf(next);
+      run_values.insert(run_values.end(), values.begin(), values.end());
     }
     DD_RETURN_IF_ERROR(
         store->IngestValues(record.series, record.timestamp, run_values));
@@ -321,7 +341,8 @@ Status DurableSketchStore::ValidateRecord(const WalRecord& record) const {
     case WalRecord::Type::kIngestSketch:
       return DecodeSketchRecord(store_, record).status();
     case WalRecord::Type::kIngestValue:
-      return SketchStore::CheckTimestamp(record.timestamp);
+    case WalRecord::Type::kIngestValues:
+      return CheckValueRecord(record);
   }
   return Status::Corruption("unknown WAL record type");
 }
@@ -406,18 +427,24 @@ Status DurableSketchStore::CheckWritable() const {
 }
 
 Status DurableSketchStore::Fence(uint64_t observed_token) {
-  if (fenced_ && observed_token <= fence_token_) return Status::OK();
+  if (fenced_ && observed_token <= fence_token_ && !fence_pending_) {
+    return Status::OK();
+  }
   // Refuse writes in memory first: if the LOCK write fails, this
-  // process still stays fenced.
+  // process still stays fenced, and the fence stays pending until a
+  // later call writes it.
   fence_token_ = std::max(fence_token_, observed_token);
   fenced_ = true;
-  return lock_.Write(EncodeFenceState(fence_token_, fenced_));
+  const Status written = lock_.Write(EncodeFenceState(fence_token_, fenced_));
+  fence_pending_ = !written.ok();
+  return written;
 }
 
 Status DurableSketchStore::AdoptFenceToken(uint64_t token) {
   if (token <= fence_token_) return Status::OK();
   DD_RETURN_IF_ERROR(lock_.Write(EncodeFenceState(token, fenced_)));
   fence_token_ = token;
+  fence_pending_ = false;  // the LOCK now holds the whole in-memory state
   return Status::OK();
 }
 
@@ -437,6 +464,7 @@ Result<uint64_t> DurableSketchStore::Promote() {
   prior_epoch_end_ = 0;  // lineage break: never roll across a promotion
   fence_token_ = token;
   fenced_ = false;
+  fence_pending_ = false;
   role_ = StoreRole::kPrimary;
   return token;
 }

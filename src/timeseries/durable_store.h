@@ -147,8 +147,15 @@ class DurableSketchStore {
   }
 
   /// Records that a writer holding `observed_token` exists: adopts the
-  /// larger token, sticky-fences this store, persists. Idempotent.
+  /// larger token, sticky-fences this store, persists. Idempotent once
+  /// persisted. The store refuses writes from the first call on; when
+  /// the LOCK write fails the fence stays pending, and every later call
+  /// (with any token) writes it again until it lands.
   Status Fence(uint64_t observed_token);
+
+  /// True while a fence is in memory but not in the LOCK file: a
+  /// restart now would reopen unfenced, at the old token.
+  bool fence_pending() const noexcept { return fence_pending_; }
 
   /// Adopts the primary's token on a follower (never lowers ours, never
   /// fences). The token changes in memory only once the LOCK write has
@@ -292,8 +299,11 @@ class DurableSketchStore {
   StoreRole role_ = StoreRole::kPrimary;
   uint64_t fence_token_ = 1;
   bool fenced_ = false;
+  /// The in-memory fence is newer than the LOCK file (its write failed).
+  bool fence_pending_ = false;
   uint64_t prior_epoch_end_ = 0;
 };
+
 
 }  // namespace dd
 

@@ -17,8 +17,8 @@ Status DecodeBody(std::string_view body, WalRecord* record) {
   std::string_view type_byte;
   DD_RETURN_IF_ERROR(in.GetBytes(1, &type_byte));
   const uint8_t type = static_cast<uint8_t>(type_byte[0]);
-  if (type != static_cast<uint8_t>(WalRecord::Type::kIngestSketch) &&
-      type != static_cast<uint8_t>(WalRecord::Type::kIngestValue)) {
+  if (type < static_cast<uint8_t>(WalRecord::Type::kIngestSketch) ||
+      type > static_cast<uint8_t>(WalRecord::Type::kIngestValues)) {
     return Status::Corruption("unknown WAL record type");
   }
   record->type = static_cast<WalRecord::Type>(type);
@@ -31,19 +31,39 @@ Status DecodeBody(std::string_view body, WalRecord* record) {
   DD_RETURN_IF_ERROR(in.GetBytes(series_len, &series));
   record->series.assign(series);
   DD_RETURN_IF_ERROR(in.GetVarintSigned64(&record->timestamp));
-  if (record->type == WalRecord::Type::kIngestSketch) {
-    uint64_t payload_len = 0;
-    DD_RETURN_IF_ERROR(in.GetVarint64(&payload_len));
-    if (payload_len > in.remaining()) {
-      return Status::Corruption("WAL payload overruns record");
+  record->payload.clear();
+  record->value = 0;
+  record->values.clear();
+  switch (record->type) {
+    case WalRecord::Type::kIngestSketch: {
+      uint64_t payload_len = 0;
+      DD_RETURN_IF_ERROR(in.GetVarint64(&payload_len));
+      if (payload_len > in.remaining()) {
+        return Status::Corruption("WAL payload overruns record");
+      }
+      std::string_view payload;
+      DD_RETURN_IF_ERROR(in.GetBytes(payload_len, &payload));
+      record->payload.assign(payload);
+      break;
     }
-    std::string_view payload;
-    DD_RETURN_IF_ERROR(in.GetBytes(payload_len, &payload));
-    record->payload.assign(payload);
-    record->value = 0;
-  } else {
-    DD_RETURN_IF_ERROR(in.GetFixedDouble(&record->value));
-    record->payload.clear();
+    case WalRecord::Type::kIngestValue:
+      DD_RETURN_IF_ERROR(in.GetFixedDouble(&record->value));
+      break;
+    case WalRecord::Type::kIngestValues: {
+      uint64_t count = 0;
+      DD_RETURN_IF_ERROR(in.GetVarint64(&count));
+      if (count == 0) {
+        return Status::Corruption("WAL value record holds no values");
+      }
+      if (count > in.remaining() / sizeof(double)) {
+        return Status::Corruption("WAL values overrun record");
+      }
+      record->values.resize(count);
+      for (double& value : record->values) {
+        DD_RETURN_IF_ERROR(in.GetFixedDouble(&value));
+      }
+      break;
+    }
   }
   if (!in.empty()) {
     return Status::Corruption("trailing bytes in WAL record body");
@@ -104,11 +124,18 @@ std::string EncodeWalRecord(const WalRecord& record) {
   PutVarint64(&body, record.series.size());
   body.append(record.series);
   PutVarintSigned64(&body, record.timestamp);
-  if (record.type == WalRecord::Type::kIngestSketch) {
-    PutVarint64(&body, record.payload.size());
-    body.append(record.payload);
-  } else {
-    PutFixedDouble(&body, record.value);
+  switch (record.type) {
+    case WalRecord::Type::kIngestSketch:
+      PutVarint64(&body, record.payload.size());
+      body.append(record.payload);
+      break;
+    case WalRecord::Type::kIngestValue:
+      PutFixedDouble(&body, record.value);
+      break;
+    case WalRecord::Type::kIngestValues:
+      PutVarint64(&body, record.values.size());
+      for (double value : record.values) PutFixedDouble(&body, value);
+      break;
   }
   return EncodeFrame(body);
 }

@@ -13,12 +13,24 @@
 //   CRC-32C of the body + body), encoded and decoded by that module —
 //   the same frame, from the same code, as a sketchd socket frame.
 //     body:
-//       type    1 byte   1 = serialized-sketch ingest, 2 = single value
+//       type    1 byte   1 = serialized-sketch ingest, 2 = single value,
+//                        3 = values of one series at one timestamp
 //       series  varint length + bytes
 //       ts      signed varint (zigzag)
 //       type 1: payload  varint length + bytes (DDSketch wire format,
 //               core/serialization.cc)
 //       type 2: value    fixed64 little-endian double
+//       type 3: count    varint, at least 1
+//               values   count x fixed64 little-endian double, in
+//                        arrival order
+//   A type-3 record is a sketchd unit: consecutive pipelined INGEST
+//   frames of one series at one timestamp. Replay adds the values of
+//   consecutive value records in one raw interval with one
+//   DDSketch::AddBatch, which gives the bytes that adding them one
+//   record at a time gives. Type 1 is every MERGE; type 2 is still
+//   written by the durable store's IngestValue, benches and tests, and
+//   a log may mix all three. A reader without type 3 refuses it as
+//   Corruption ("unknown WAL record type").
 //
 // Recovery semantics: a record whose frame runs past EOF (DecodeFrame
 // reports it incomplete) is a torn tail (the process died mid-append) —
@@ -57,6 +69,7 @@ struct WalRecord {
   enum class Type : uint8_t {
     kIngestSketch = 1,  ///< a serialized worker sketch
     kIngestValue = 2,   ///< a single raw value
+    kIngestValues = 3,  ///< raw values of one series at one timestamp
   };
 
   Type type = Type::kIngestSketch;
@@ -64,6 +77,7 @@ struct WalRecord {
   int64_t timestamp = 0;
   std::string payload;  ///< DDSketch wire bytes (kIngestSketch only)
   double value = 0;     ///< kIngestValue only
+  std::vector<double> values;  ///< kIngestValues only, never empty
 };
 
 /// Encodes the file header for a log of generation `epoch` (the header

@@ -67,16 +67,16 @@ TEST(TagAdmissionLedgerTest, FloorSurvivesAnotherTagsFlood) {
 
   // The flood takes everything it can get, byte by byte.
   uint64_t hint = 0;
-  while (ledger.TryAdmit(flood, 1, &hint)) {
+  while (ledger.TryAdmit(flood, 1, 1, &hint) == 1) {
   }
   EXPECT_GE(hint, 1u);
   // The honest tag's floor is still fully admittable.
   for (uint64_t i = 0; i < honest_floor; ++i) {
-    ASSERT_TRUE(ledger.TryAdmit(honest, 1, &hint))
+    ASSERT_EQ(ledger.TryAdmit(honest, 1, 1, &hint), 1u)
         << "floor byte " << i << " of " << honest_floor << " refused";
   }
   // ...and not one byte more (the flood drained the shared pool).
-  EXPECT_FALSE(ledger.TryAdmit(honest, 1, &hint));
+  EXPECT_EQ(ledger.TryAdmit(honest, 1, 1, &hint), 0u);
   EXPECT_LE(ledger.total_staged(), ledger.total_budget());
 }
 
@@ -95,8 +95,8 @@ TEST(TagAdmissionLedgerTest, ThrottledShareShrinksBorrowing) {
 
   // Admission honors the throttled cap exactly.
   uint64_t hint = 0;
-  EXPECT_TRUE(ledger.TryAdmit(noisy, after.budget_bytes, &hint));
-  EXPECT_FALSE(ledger.TryAdmit(noisy, 1, &hint));
+  EXPECT_EQ(ledger.TryAdmit(noisy, after.budget_bytes, 1, &hint), 1u);
+  EXPECT_EQ(ledger.TryAdmit(noisy, 1, 1, &hint), 0u);
   ledger.Refund(noisy, after.budget_bytes);
 
   // The clamp: a throttle can never zero a tag's borrowing power, and
@@ -111,29 +111,59 @@ TEST(TagAdmissionLedgerTest, ThrottledShareShrinksBorrowing) {
 TEST(TagAdmissionLedgerTest, RefusalChargesBusyAndHintsRetry) {
   TagAdmissionLedger ledger(100, {});
   uint64_t hint = 0;
-  EXPECT_FALSE(ledger.TryAdmit(TagAdmissionLedger::kDefaultTagId, 200, &hint));
+  EXPECT_EQ(
+      ledger.TryAdmit(TagAdmissionLedger::kDefaultTagId, 200, 1, &hint), 0u);
   // Fresh ledger: no refill observed yet, so the hint is the fixed
   // default — deterministic, and what the wire test pins.
   EXPECT_EQ(hint, TagAdmissionLedger::kDefaultRetryMs);
   EXPECT_EQ(FindTag(ledger.Snapshot(), "default").busy_rejections, 1u);
   // A null out-pointer is allowed (callers that only count refusals).
-  EXPECT_FALSE(ledger.TryAdmit(TagAdmissionLedger::kDefaultTagId, 200,
-                               nullptr));
+  EXPECT_EQ(
+      ledger.TryAdmit(TagAdmissionLedger::kDefaultTagId, 200, 1, nullptr),
+      0u);
+}
+
+TEST(TagAdmissionLedgerTest, CountAdmitsTheLongestPrefixThatFits) {
+  // Alone, default's allowance is the whole 1000 bytes (500 floor + 500
+  // pool). A unit of 10 frames of 64 bytes fits 15 frames' worth: all
+  // 10 are admitted. The next unit of 10 fits 5 (5 x 64 = 320 of the
+  // 360 left); the other 5 are refused, each a busy rejection, with
+  // the hint for the first refused frame.
+  TagAdmissionLedger ledger(1000, {});
+  const uint32_t id = TagAdmissionLedger::kDefaultTagId;
+  uint64_t hint = 0;
+  EXPECT_EQ(ledger.TryAdmit(id, 64, 10, &hint), 10u);
+  EXPECT_EQ(hint, 0u);  // nothing refused: the hint is left alone
+  EXPECT_EQ(ledger.TryAdmit(id, 64, 10, &hint), 5u);
+  EXPECT_EQ(hint, TagAdmissionLedger::kDefaultRetryMs);
+  EXPECT_EQ(ledger.total_staged(), 15u * 64);
+  auto row = FindTag(ledger.Snapshot(), "default");
+  EXPECT_EQ(row.staged_bytes, 15u * 64);
+  EXPECT_EQ(row.busy_rejections, 5u);
+  // Full to within 40 bytes: a further unit is refused whole.
+  EXPECT_EQ(ledger.TryAdmit(id, 64, 3, &hint), 0u);
+  EXPECT_EQ(FindTag(ledger.Snapshot(), "default").busy_rejections, 8u);
+  // The refund of what was admitted drains the ledger.
+  ledger.Refund(id, 15u * 64);
+  EXPECT_EQ(ledger.total_staged(), 0u);
+  // A count of 1 is the single-frame admit; an exact fit is admitted.
+  EXPECT_EQ(ledger.TryAdmit(id, 1000, 1, &hint), 1u);
+  EXPECT_EQ(ledger.TryAdmit(id, 1, 1, &hint), 0u);
 }
 
 TEST(TagAdmissionLedgerTest, RetryHintTracksRefillRateWithinBounds) {
   TagAdmissionLedger ledger(1000, {});
   const uint32_t id = TagAdmissionLedger::kDefaultTagId;
   uint64_t hint = 0;
-  ASSERT_TRUE(ledger.TryAdmit(id, 1000, &hint));
+  ASSERT_EQ(ledger.TryAdmit(id, 1000, 1, &hint), 1u);
   // Commit completions refund in bursts; ≥1 ms apart they establish a
   // refill-rate EWMA that the hint divides the deficit by.
   for (int burst = 0; burst < 4; ++burst) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     ledger.Refund(id, 100);
   }
-  ASSERT_TRUE(ledger.TryAdmit(id, 400, &hint));
-  EXPECT_FALSE(ledger.TryAdmit(id, 2000, &hint));
+  ASSERT_EQ(ledger.TryAdmit(id, 400, 1, &hint), 1u);
+  EXPECT_EQ(ledger.TryAdmit(id, 2000, 1, &hint), 0u);
   EXPECT_GE(hint, 1u);
   EXPECT_LE(hint, TagAdmissionLedger::kMaxRetryMs);
 }
@@ -142,7 +172,7 @@ TEST(TagAdmissionLedgerTest, ZeroBudgetAdmitsEverythingButStillAccounts) {
   TagAdmissionLedger ledger(0, {{"t", 1}});
   const uint32_t t = ledger.RegisterTag("t").value();
   uint64_t hint = 0;
-  EXPECT_TRUE(ledger.TryAdmit(t, 1 << 30, &hint));
+  EXPECT_EQ(ledger.TryAdmit(t, 1 << 30, 1, &hint), 1u);
   EXPECT_EQ(ledger.total_staged(), static_cast<uint64_t>(1 << 30));
   EXPECT_EQ(FindTag(ledger.Snapshot(), "t").staged_bytes,
             static_cast<uint64_t>(1 << 30));
@@ -153,7 +183,7 @@ TEST(TagAdmissionLedgerTest, ZeroBudgetAdmitsEverythingButStillAccounts) {
 TEST(TagAdmissionLedgerTest, RefundClampsInsteadOfUnderflowing) {
   TagAdmissionLedger ledger(1000, {});
   const uint32_t id = TagAdmissionLedger::kDefaultTagId;
-  ASSERT_TRUE(ledger.TryAdmit(id, 100, nullptr));
+  ASSERT_EQ(ledger.TryAdmit(id, 100, 1, nullptr), 1u);
   ledger.Refund(id, 500);  // a bookkeeping bug must not mint budget
   EXPECT_EQ(ledger.total_staged(), 0u);
   EXPECT_EQ(FindTag(ledger.Snapshot(), "default").staged_bytes, 0u);
@@ -175,8 +205,8 @@ TEST(TagAdmissionLedgerTest, LateRegistrationNeverDilutesConfiguredFloors) {
   // Pool-only still means admittable: the 450-byte shared pool is the
   // latecomer's whole allowance, and not one byte more.
   uint64_t hint = 0;
-  EXPECT_TRUE(ledger.TryAdmit(late, 450, &hint));
-  EXPECT_FALSE(ledger.TryAdmit(late, 1, &hint));
+  EXPECT_EQ(ledger.TryAdmit(late, 450, 1, &hint), 1u);
+  EXPECT_EQ(ledger.TryAdmit(late, 1, 1, &hint), 0u);
   ledger.Refund(late, 450);
 }
 
@@ -233,10 +263,13 @@ TEST(TagAdmissionLedgerPropertyTest, ConcurrentConservation) {
           mine[victim] = mine.back();
           mine.pop_back();
         } else {
+          // A unit of 1-4 frames, admitted by its longest prefix.
           const uint64_t bytes = 1 + rng.NextU64() % 512;
-          if (ledger.TryAdmit(tag, bytes, nullptr)) {
-            mine.emplace_back(tag, bytes);
-          }
+          const uint64_t frames = 1 + rng.NextU64() % 4;
+          const uint64_t admitted =
+              ledger.TryAdmit(tag, bytes, frames, nullptr);
+          ASSERT_LE(admitted, frames);
+          if (admitted > 0) mine.emplace_back(tag, bytes * admitted);
         }
       }
     });

@@ -135,6 +135,53 @@ class DurabilityTest : public ::testing::Test {
     return records;
   }
 
+  /// FractionalBatch's 64 values again, as sketchd logs pipelined
+  /// windows of them: units (type-3 records) of 1, 7 and 40 values at
+  /// three timestamps of one interval, a single-value record, a unit of
+  /// the rest in the next interval, and a unit of another series.
+  static std::vector<WalRecord> PipelinedWindows() {
+    const std::vector<WalRecord> values = FractionalBatch();
+    std::vector<WalRecord> records;
+    const auto unit = [&](const std::string& series, int64_t timestamp,
+                          size_t from, size_t to) {
+      WalRecord& record = records.emplace_back();
+      record.type = WalRecord::Type::kIngestValues;
+      record.series = series;
+      record.timestamp = timestamp;
+      for (size_t i = from; i < to; ++i) {
+        record.values.push_back(values[i].value);
+      }
+    };
+    unit("api.latency", 5, 0, 1);
+    unit("api.latency", 9, 1, 8);
+    unit("api.latency", 0, 8, 48);
+    WalRecord& single = records.emplace_back(values[48]);
+    single.timestamp = 1;
+    unit("api.latency", 15, 49, 60);
+    unit("db.latency", 15, 60, 64);
+    return records;
+  }
+
+  /// `records` with every type-3 record split into single-value records.
+  static std::vector<WalRecord> OneValuePerRecord(
+      const std::vector<WalRecord>& records) {
+    std::vector<WalRecord> out;
+    for (const WalRecord& record : records) {
+      if (record.type != WalRecord::Type::kIngestValues) {
+        out.push_back(record);
+        continue;
+      }
+      for (double value : record.values) {
+        WalRecord& single = out.emplace_back();
+        single.type = WalRecord::Type::kIngestValue;
+        single.series = record.series;
+        single.timestamp = record.timestamp;
+        single.value = value;
+      }
+    }
+    return out;
+  }
+
   static DurableSketchStoreOptions FollowerOptions() {
     DurableSketchStoreOptions options = Options();
     options.role = StoreRole::kFollower;
@@ -637,6 +684,66 @@ TEST_F(DurabilityTest, GroupCommitBatchRejectsBadRecordBeforeLogging) {
   EXPECT_EQ(store.store().num_series(), 0u);
 }
 
+TEST_F(DurabilityTest, CrashInsideValueUnitsRecoversExactlyTheAckedUnits) {
+  // Units (type-3 records) of 1 to 16 values, each its own commit, with
+  // a sketch record between them. A crash at any byte keeps exactly the
+  // units whose whole record reached the log: never part of one.
+  const std::string dir = Dir("unitcrash");
+  std::vector<uint64_t> boundaries;
+  std::vector<std::string> prefix_fp;
+  auto ref = std::move(SketchStore::Create(Options().store)).value();
+  {
+    DurableSketchStore store = MustOpen(dir);
+    boundaries.push_back(store.wal_offset());
+    prefix_fp.push_back(Fingerprint(ref));
+    const size_t sizes[] = {1, 3, 16, 2, 9, 5};
+    for (size_t u = 0; u < std::size(sizes); ++u) {
+      WalRecord record;
+      record.type = WalRecord::Type::kIngestValues;
+      record.series = u % 2 == 0 ? "api.latency" : "db.latency";
+      record.timestamp = static_cast<int64_t>(u) * 7 - 12;
+      for (size_t i = 0; i < sizes[u]; ++i) {
+        record.values.push_back(0.5 * static_cast<double>(u * 31 + i) + 0.1);
+        ASSERT_TRUE(ref.IngestValue(record.series, record.timestamp,
+                                    record.values.back())
+                        .ok());
+      }
+      ASSERT_TRUE(store.IngestBatch({record}).ok());
+      boundaries.push_back(store.wal_offset());
+      prefix_fp.push_back(Fingerprint(ref));
+      if (u == 2) {
+        const std::string payload = WorkerPayload(static_cast<int>(u));
+        ASSERT_TRUE(store.Ingest("api.latency", 3, payload).ok());
+        ASSERT_TRUE(ref.Ingest("api.latency", 3, payload).ok());
+        boundaries.push_back(store.wal_offset());
+        prefix_fp.push_back(Fingerprint(ref));
+      }
+    }
+  }
+  const std::string wal_bytes = ReadFile(DurableSketchStore::WalPath(dir));
+  ASSERT_EQ(wal_bytes.size(), boundaries.back());
+
+  const std::string crash_dir = Dir("unitcrash_replay");
+  for (uint64_t cut = boundaries.front(); cut <= wal_bytes.size(); ++cut) {
+    fs::remove_all(crash_dir);
+    fs::create_directories(crash_dir);
+    WriteFile(DurableSketchStore::WalPath(crash_dir),
+              std::string_view(wal_bytes).substr(0, cut));
+    auto reopened = DurableSketchStore::Open(crash_dir, Options());
+    ASSERT_TRUE(reopened.ok())
+        << "cut=" << cut << ": " << reopened.status().ToString();
+    size_t expected = 0;
+    while (expected + 1 < boundaries.size() &&
+           boundaries[expected + 1] <= cut) {
+      ++expected;
+    }
+    EXPECT_EQ(Fingerprint(reopened.value().store()), prefix_fp[expected])
+        << "cut=" << cut;
+    EXPECT_EQ(reopened.value().wal_offset(), boundaries[expected])
+        << "cut=" << cut;
+  }
+}
+
 TEST_F(DurabilityTest, GroupCommitCrashMidBatchRecoversExactPrefix) {
   // A batch is appended record-by-record before its single fsync; a
   // crash can land at any byte of the batch region. Recovery must yield
@@ -851,6 +958,27 @@ TEST_F(DurabilityTest, TornFenceRewriteFailsToOpen) {
   EXPECT_FALSE(kept.value().writes_fenced());
 }
 
+TEST_F(DurabilityTest, FailedFenceWriteIsRetried) {
+  // A fence whose LOCK write fails refuses writes in memory only: a
+  // restart would reopen the store unfenced, at its old token. A later
+  // Fence with the same token must write the LOCK again instead of
+  // returning early because the store is already fenced in memory.
+  const std::string dir = Dir("fence_retry");
+  {
+    DurableSketchStore store = MustOpen(dir);
+    EXPECT_FALSE(WithFileSizeCap(4, [&] { return store.Fence(5); }).ok());
+    EXPECT_TRUE(store.writes_fenced());
+    EXPECT_TRUE(store.fence_pending());
+    const Status retried = store.Fence(5);
+    EXPECT_TRUE(retried.ok()) << retried.ToString();
+    EXPECT_FALSE(store.fence_pending());
+  }
+  auto reopened = DurableSketchStore::Open(dir, Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().fence_token(), 5u);
+  EXPECT_TRUE(reopened.value().fenced());
+}
+
 TEST_F(DurabilityTest, FenceStateWithoutChecksumLineOpensAndIsRewritten) {
   // A LOCK written before the CRC line holds the two fields alone. It
   // opens as before, and Open rewrites it with the line.
@@ -921,7 +1049,9 @@ TEST_F(DurabilityTest, ReadWalChunkEndsOnWholeRecordsUnderEveryCap) {
 TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {
   // Full mergeability makes the three routes to a store's state — the
   // live group commit, WAL replay on reopen, and a follower applying
-  // the shipped bytes — agree exactly, down to the serialized sum.
+  // the shipped bytes — agree exactly, down to the serialized sum. The
+  // log holds single-value records and pipelined windows' units, and
+  // the state is also the one the same values give one record each.
   const std::string dir = Dir("identity");
   const std::string follower_dir = Dir("identity_follower");
   std::string live;
@@ -929,6 +1059,7 @@ TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {
   {
     DurableSketchStore primary = MustOpen(dir);
     ASSERT_TRUE(primary.IngestBatch(FractionalBatch()).ok());
+    ASSERT_TRUE(primary.IngestBatch(PipelinedWindows()).ok());
     live = SnapshotBytes(primary);
     auto segment = primary.ReadWalChunk(kWalHeaderBytes, 1 << 20);
     ASSERT_TRUE(segment.ok()) << segment.status().ToString();
@@ -943,6 +1074,53 @@ TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {
       follower.value().ApplyReplicatedSegment(1, kWalHeaderBytes, shipped)
           .ok());
   EXPECT_EQ(SnapshotBytes(follower.value()), live);
+  DurableSketchStore value_by_value = MustOpen(Dir("identity_values"));
+  ASSERT_TRUE(value_by_value.IngestBatch(FractionalBatch()).ok());
+  ASSERT_TRUE(
+      value_by_value.IngestBatch(OneValuePerRecord(PipelinedWindows())).ok());
+  EXPECT_EQ(SnapshotBytes(value_by_value), live);
+}
+
+TEST_F(DurabilityTest, FollowerWithoutALadderAdoptsItsPrimarysLadder) {
+  // A follower opened with no ladder (sketchd without --rollup-levels)
+  // takes on the ladder of its primary's replicated snapshot and keeps
+  // it across a reopen; a follower opened with another ladder refuses
+  // the snapshot.
+  std::string image;
+  uint64_t wal_epoch = 0;
+  {
+    DurableSketchStore primary = MustOpen(Dir("ladder_primary"));
+    ASSERT_TRUE(primary.IngestValue("s", 5, 1.0).ok());
+    ASSERT_TRUE(primary.CheckpointForReplication().ok());
+    image = primary.EncodeReplicationSnapshot();
+    wal_epoch = primary.epoch();
+  }
+  DurableSketchStoreOptions adopt;
+  adopt.role = StoreRole::kFollower;
+  {
+    auto follower = DurableSketchStore::Open(Dir("ladder_adopt"), adopt);
+    ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+    ASSERT_NE(follower.value().store().options().levels,
+              Options().store.levels);
+    const Status installed =
+        follower.value().InstallReplicatedSnapshot(image, wal_epoch);
+    ASSERT_TRUE(installed.ok()) << installed.ToString();
+    EXPECT_EQ(follower.value().store().options().levels,
+              Options().store.levels);
+    EXPECT_EQ(follower.value().store().num_intervals(), 1u);
+  }
+  auto reopened = DurableSketchStore::Open(Dir("ladder_adopt"), adopt);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().store().options().levels,
+            Options().store.levels);
+
+  DurableSketchStoreOptions pinned = FollowerOptions();
+  pinned.store.levels = {{60, 0}};
+  auto other = DurableSketchStore::Open(Dir("ladder_other"), pinned);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_EQ(other.value().InstallReplicatedSnapshot(image, wal_epoch).code(),
+            StatusCode::kIncompatible);
+  EXPECT_EQ(other.value().store().num_intervals(), 0u);
 }
 
 TEST_F(DurabilityTest, FrozenAndThawedIntervalsKeepStatesByteIdentical) {

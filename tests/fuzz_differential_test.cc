@@ -455,9 +455,14 @@ WalImage BuildWalImage(Rng& rng) {
       }
       record.type = WalRecord::Type::kIngestSketch;
       record.payload = sketch.Serialize();
-    } else {
+    } else if (i % 4 == 1) {
       record.type = WalRecord::Type::kIngestValue;
       record.value = rng.NextDouble() * 1e6;
+    } else {
+      // A sketchd unit: 1-16 values at one timestamp.
+      record.type = WalRecord::Type::kIngestValues;
+      record.values.resize(1 + rng.NextBounded(16));
+      for (double& value : record.values) value = rng.NextDouble() * 1e6;
     }
     record.series = (i % 3 == 0) ? "api.latency" : "db.queries";
     record.timestamp = static_cast<int64_t>(rng.NextBounded(10000)) - 500;

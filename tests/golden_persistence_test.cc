@@ -14,12 +14,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/ddsketch.h"
 #include "server/protocol.h"
 #include "timeseries/snapshot.h"
 #include "timeseries/wal.h"
 #include "util/crc32.h"
+#include "util/frame.h"
 
 #ifndef DD_GOLDEN_DIR
 #error "DD_GOLDEN_DIR must point at tests/golden"
@@ -133,6 +135,61 @@ TEST(GoldenPersistenceTest, WalFixtureRoundTripsByteExactly) {
     reencoded += EncodeWalRecord(record);
   }
   EXPECT_EQ(Hex(reencoded), Hex(fixture));
+}
+
+TEST(GoldenPersistenceTest, ValueUnitRecordPinned) {
+  // Record type 3, a sketchd unit: type, series, timestamp (zigzag),
+  // count, then the values as little-endian fixed64 doubles, in one
+  // frame (len varint, CRC-32C of the body, body).
+  WalRecord record;
+  record.type = WalRecord::Type::kIngestValues;
+  record.series = "db.errors";
+  record.timestamp = -30;
+  record.values = {3.25, -0.5};
+  const std::string framed = EncodeWalRecord(record);
+  EXPECT_EQ(Hex(framed),
+            "1d" "217f618d"              // body length 29, CRC-32C
+            "03" "09" "64622e6572726f7273"  // type 3, "db.errors"
+            "3b" "02"                    // ts -30 (zigzag 59), 2 values
+            "0000000000000a40"           // 3.25
+            "000000000000e0bf");         // -0.5
+
+  // It reads back exactly, beside the v1 fixture's type-1 and type-2
+  // records, and re-encodes to the same bytes.
+  const std::string log = ReadFixture("wal_v1.bin") + framed;
+  auto scanned = ReadWal(log, WalRead::kStrict);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ(scanned.value().records.size(), 3u);
+  const WalRecord& read = scanned.value().records[2];
+  EXPECT_EQ(read.type, WalRecord::Type::kIngestValues);
+  EXPECT_EQ(read.series, "db.errors");
+  EXPECT_EQ(read.timestamp, -30);
+  EXPECT_EQ(read.values, record.values);
+  EXPECT_EQ(Hex(EncodeWalRecord(read)), Hex(framed));
+}
+
+TEST(GoldenPersistenceTest, MalformedValueUnitRecordsAreCorruption) {
+  // Bodies a type-3 record must never have: a count of 0, values that
+  // run past the body, and bytes after the last value. Each is framed
+  // with a valid CRC, so only the body decode can refuse it.
+  const std::string head = std::string("\x03\x01s\x0a", 4);  // "s", ts 5
+  const std::string one_value("\0\0\0\0\0\0\xf0\x3f", 8);  // 1.0
+  for (const std::string& body :
+       {head + '\x00', head + '\x02' + one_value,
+        head + '\x01' + one_value + '\x00'}) {
+    const std::string log = EncodeWalHeader(1) + EncodeFrame(body);
+    for (const WalRead mode : {WalRead::kStrict, WalRead::kTolerateTornTail}) {
+      auto scanned = ReadWal(log, mode);
+      ASSERT_FALSE(scanned.ok()) << Hex(body);
+      EXPECT_EQ(scanned.status().code(), StatusCode::kCorruption) << Hex(body);
+    }
+  }
+  // The well-formed neighbour of those bodies reads.
+  const std::string good = head + '\x01' + one_value;
+  auto scanned =
+      ReadWal(EncodeWalHeader(1) + EncodeFrame(good), WalRead::kStrict);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  EXPECT_EQ(scanned.value().records.at(0).values, std::vector<double>{1.0});
 }
 
 TEST(GoldenPersistenceTest, SnapshotFixtureRoundTripsByteExactly) {

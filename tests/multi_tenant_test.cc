@@ -28,6 +28,7 @@
 
 #include <unistd.h>
 
+#include "core/ddsketch.h"
 #include "server/admission.h"
 #include "server/client.h"
 #include "server/net.h"
@@ -234,6 +235,65 @@ TEST_F(MultiTenantTest, BusyResponseCarriesRetryAfterHint) {
   }
   EXPECT_EQ(busy, 1) << "budget admits exactly two staged records";
   ::close(fd.value());
+}
+
+TEST_F(MultiTenantTest, UnitPastTheBudgetIsAdmittedByPrefix) {
+  // Five pipelined INGEST frames of one series at one timestamp are
+  // one unit, charged 65 staged bytes per frame. The 160-byte budget
+  // fits two: the unit's first two frames are acked, and the other
+  // three are refused with BUSY one by one, each with the hint.
+  SketchServerOptions options;
+  options.staged_bytes_budget = 160;
+  auto server = MustStart(Dir("prefix"), options);
+  SketchClient probe = MustConnect(server->port());
+  auto before = probe.Stats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  auto fd = ConnectTcp("127.0.0.1", server->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  FramedConn conn(fd.value());
+  ASSERT_TRUE(conn.SendHello().ok());
+  ASSERT_TRUE(conn.ExpectHello().ok());
+  Request request;
+  request.op = Request::Op::kIngest;
+  request.series = "t";
+  request.timestamp = 5;
+  std::string wire;
+  for (int i = 0; i < 5; ++i) {
+    request.value = 1.0 + i;
+    wire += EncodeRequest(request);
+  }
+  ASSERT_TRUE(conn.WriteFrame(wire).ok());
+  for (int i = 0; i < 5; ++i) {
+    auto body = conn.ReadFrame();
+    ASSERT_TRUE(body.ok()) << body.status().ToString();
+    auto response = DecodeResponse(body.value());
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    if (i < 2) {
+      EXPECT_EQ(response.value().code, StatusCode::kOk) << "frame " << i;
+      EXPECT_EQ(response.value().retry_after_ms, 0u) << "frame " << i;
+    } else {
+      EXPECT_EQ(response.value().code, StatusCode::kBusy) << "frame " << i;
+      EXPECT_EQ(response.value().retry_after_ms,
+                TagAdmissionLedger::kDefaultRetryMs)
+          << "frame " << i;
+    }
+  }
+  ::close(fd.value());
+
+  auto after = probe.Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().busy_rejections - before.value().busy_rejections,
+            3u);
+  EXPECT_EQ(MustTagRow(probe, "default").busy_rejections, 3u);
+  // The acked prefix was refunded at its commit, before its acks.
+  EXPECT_EQ(after.value().staged_bytes, 0u);
+  // Exactly the acked prefix is durable.
+  auto values = probe.Query("t", 0, 10, {0, 1});
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  const double alpha = DDSketchConfig{}.relative_accuracy;
+  EXPECT_NEAR(values.value()[0], 1.0, alpha * 1.0);
+  EXPECT_NEAR(values.value()[1], 2.0, alpha * 2.0);
 }
 
 // The headline: a single-tag flood pushing far past (≥4×) its

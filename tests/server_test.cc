@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -17,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -26,6 +28,8 @@
 #include "server/net.h"
 #include "timeseries/durable_store.h"
 #include "timeseries/sharded_store.h"
+#include "timeseries/snapshot.h"
+#include "timeseries/wal.h"
 #include "util/file_io.h"
 
 namespace dd {
@@ -59,6 +63,59 @@ class ServerTest : public ::testing::Test {
     auto client = SketchClient::Connect("127.0.0.1", server.port());
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return std::move(client).value();
+  }
+
+  /// Sends `requests` in one write on a fresh connection and reads one
+  /// response per request; a missing or undecodable response fails the
+  /// test (and ends the list early).
+  static std::vector<Response> SendPipelined(
+      const SketchServer& server, const std::vector<Request>& requests) {
+    std::vector<Response> responses;
+    auto fd = ConnectTcp("127.0.0.1", server.port());
+    if (!fd.ok()) {
+      ADD_FAILURE() << fd.status().ToString();
+      return responses;
+    }
+    // A lost response must fail the read, not hang the test.
+    const struct timeval timeout = {10, 0};
+    EXPECT_EQ(::setsockopt(fd.value(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    FramedConn conn(fd.value());
+    std::string wire = EncodeHello();
+    for (const Request& request : requests) wire += EncodeRequest(request);
+    if (Status s = conn.WriteFrame(wire); !s.ok()) {
+      ADD_FAILURE() << s.ToString();
+    } else if (s = conn.ExpectHello(); !s.ok()) {
+      ADD_FAILURE() << s.ToString();
+    } else {
+      for (size_t i = 0; i < requests.size(); ++i) {
+        auto body = conn.ReadFrame();
+        if (!body.ok()) {
+          ADD_FAILURE() << "response " << i << ": " << body.status().ToString();
+          break;
+        }
+        auto response = DecodeResponse(body.value());
+        if (!response.ok()) {
+          ADD_FAILURE() << "response " << i << ": "
+                        << response.status().ToString();
+          break;
+        }
+        responses.push_back(std::move(response).value());
+      }
+    }
+    ::close(fd.value());
+    return responses;
+  }
+
+  static Request IngestRequest(const std::string& series, int64_t timestamp,
+                               double value) {
+    Request request;
+    request.op = Request::Op::kIngest;
+    request.series = series;
+    request.timestamp = timestamp;
+    request.value = value;
+    return request;
   }
 
   fs::path root_;
@@ -237,71 +294,38 @@ TEST_F(ServerTest, FramesBufferedBehindAnIngestRunAnswerInOrder) {
   options.shards = 1;
   options.commit_batch = 64;  // run cap 64: the 300 ingests take 5 runs
   auto server = MustStart(Dir("behind"), options);
-  auto fd = ConnectTcp("127.0.0.1", server->port());
-  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-  // A lost response must fail the read, not hang the test.
-  const struct timeval timeout = {10, 0};
-  ASSERT_EQ(::setsockopt(fd.value(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                         sizeof(timeout)),
-            0);
-  FramedConn conn(fd.value());
 
-  std::vector<Request::Op> ops;
-  std::string wire = EncodeHello();
-  const auto send = [&](const Request& request) {
-    ops.push_back(request.op);
-    wire += EncodeRequest(request);
-  };
+  std::vector<Request> requests;
   const auto ingest = [&](double value) {
-    Request request;
-    request.op = Request::Op::kIngest;
-    request.series = "svc";
-    request.timestamp = 5;
-    request.value = value;
-    send(request);
+    requests.push_back(IngestRequest("svc", 5, value));
   };
   const auto query = [&](std::vector<double> quantiles) {
-    Request request;
+    Request& request = requests.emplace_back();
     request.op = Request::Op::kQuery;
     request.series = "svc";
     request.start = 0;
     request.end = 100;
     request.quantiles = std::move(quantiles);
-    send(request);
   };
-  const auto bare = [&](Request::Op op) {
-    Request request;
-    request.op = op;
-    send(request);
-  };
+  const auto bare = [&](Request::Op op) { requests.emplace_back().op = op; };
   for (int i = 1; i <= 300; ++i) ingest(i);
   query({0, 1});
   bare(Request::Op::kStats);
-  Request set_tag;
+  Request& set_tag = requests.emplace_back();
   set_tag.op = Request::Op::kSetTag;
   set_tag.tag = "gold";
-  send(set_tag);
   for (int i = 1000; i <= 1002; ++i) ingest(i);
   bare(Request::Op::kCheckpoint);
   query({1});
   bare(Request::Op::kStats);
-  ASSERT_TRUE(conn.WriteFrame(wire).ok());
-  ASSERT_TRUE(conn.ExpectHello().ok());
 
-  std::vector<Response> responses;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    auto body = conn.ReadFrame();
-    ASSERT_TRUE(body.ok()) << "response " << i << ": "
-                           << body.status().ToString();
-    auto response = DecodeResponse(body.value());
-    ASSERT_TRUE(response.ok()) << response.status().ToString();
-    ASSERT_EQ(response.value().op, ops[i]) << "response " << i;
-    ASSERT_EQ(response.value().code, StatusCode::kOk)
-        << "response " << i << ": " << response.value().message;
-    responses.push_back(std::move(response).value());
-  }
+  const std::vector<Response> responses = SendPipelined(*server, requests);
   ASSERT_EQ(responses.size(), 309u);
-  ::close(fd.value());
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_EQ(responses[i].op, requests[i].op) << "response " << i;
+    ASSERT_EQ(responses[i].code, StatusCode::kOk)
+        << "response " << i << ": " << responses[i].message;
+  }
 
   const double alpha = DDSketchConfig{}.relative_accuracy;
   const std::vector<double>& first = responses[300].values;
@@ -323,6 +347,189 @@ TEST_F(ServerTest, FramesBufferedBehindAnIngestRunAnswerInOrder) {
   }
   EXPECT_EQ(default_acks, 300u);
   EXPECT_EQ(gold_acks, 3u);
+}
+
+TEST_F(ServerTest, OneIntervalWindowIsLoggedAsFewRecords) {
+  // A 512-frame pipelined window of one series at one timestamp: every
+  // run of it is one unit, one WAL record of 8-byte values, and every
+  // frame still gets its own OK, in request order.
+  SketchServerOptions options;
+  options.shards = 1;
+  auto server = MustStart(Dir("window"), options);
+  SketchClient client = MustConnect(*server);
+  auto before = client.Stats();
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  std::vector<Request> requests;
+  for (int i = 0; i < 512; ++i) {
+    requests.push_back(IngestRequest("api.latency", 1000, 1.0 + 0.25 * i));
+  }
+  const std::vector<Response> responses = SendPipelined(*server, requests);
+  ASSERT_EQ(responses.size(), 512u);
+  uint64_t last_offset = 0;
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_EQ(responses[i].op, Request::Op::kIngest) << "response " << i;
+    ASSERT_EQ(responses[i].code, StatusCode::kOk)
+        << "response " << i << ": " << responses[i].message;
+    // Each ack names the end of its commit; commits land in order.
+    EXPECT_GE(responses[i].wal_offset, last_offset) << "response " << i;
+    last_offset = responses[i].wal_offset;
+  }
+  auto after = client.Stats();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().wal_offset, last_offset);
+  EXPECT_LT(after.value().wal_offset - before.value().wal_offset, 9u * 512)
+      << "the window was not logged as units";
+  auto extremes = client.Query("api.latency", 1000, 1010, {0, 1});
+  ASSERT_TRUE(extremes.ok()) << extremes.status().ToString();
+  const double alpha = DDSketchConfig{}.relative_accuracy;
+  EXPECT_NEAR(extremes.value()[0], 1.0, alpha * 1.0);
+  EXPECT_NEAR(extremes.value()[1], 128.75, alpha * 128.75);
+}
+
+TEST_F(ServerTest, MixedWindowAnswersInOrderAndMatchesValueByValue) {
+  // One write interleaves two series in runs of 7 frames, steps the
+  // timestamp every 3 frames and so across 10 s interval boundaries,
+  // and carries a MERGE and a QUERY. Units end at each of those; every
+  // response comes back in request order, the QUERY sees everything
+  // sent before it, and the store equals one built value by value.
+  SketchServerOptions options;
+  options.shards = 1;
+  auto server = MustStart(Dir("mixed"), options);
+  auto ref = std::move(SketchStore::Create(SketchStoreOptions{})).value();
+  auto worker = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  for (int i = 1; i <= 30; ++i) worker.Add(0.7 * i);
+  std::vector<Request> requests;
+  std::vector<double> expected_query;
+  for (int i = 0; i < 300; ++i) {
+    const std::string series = (i / 7) % 2 == 0 ? "a" : "b";
+    const int64_t ts = 3 + i / 3;  // a new interval every 30 frames
+    const double value = 0.1 * i + 1.0 / 3.0;  // sums only in order
+    requests.push_back(IngestRequest(series, ts, value));
+    ASSERT_TRUE(ref.IngestValue(series, ts, value).ok());
+    if (i == 50) {
+      Request merge;
+      merge.op = Request::Op::kMerge;
+      merge.series = "a";
+      merge.timestamp = ts;
+      merge.payload = worker.Serialize();
+      requests.push_back(merge);
+      ASSERT_TRUE(ref.Ingest("a", ts, merge.payload).ok());
+    }
+    if (i == 120) {
+      Request query;
+      query.op = Request::Op::kQuery;
+      query.series = "b";
+      query.start = 0;
+      query.end = 1000;
+      query.quantiles = {0, 0.5, 1};
+      requests.push_back(query);
+      for (double q : query.quantiles) {
+        expected_query.push_back(
+            std::move(ref.QueryQuantile("b", 0, 1000, q)).value());
+      }
+    }
+  }
+  const std::vector<Response> responses = SendPipelined(*server, requests);
+  ASSERT_EQ(responses.size(), requests.size());
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_EQ(responses[i].op, requests[i].op) << "response " << i;
+    ASSERT_EQ(responses[i].code, StatusCode::kOk)
+        << "response " << i << ": " << responses[i].message;
+    if (requests[i].op == Request::Op::kQuery) {
+      EXPECT_EQ(responses[i].values, expected_query);
+    }
+  }
+  server->Stop();
+  auto reopened = DurableSketchStore::Open(Dir("mixed"), {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(EncodeSnapshot(reopened.value().store(), 0),
+            EncodeSnapshot(ref, 0));
+}
+
+TEST_F(ServerTest, FramesJoinAUnitOnlyAtItsTimestamp) {
+  // 2^61 - 1, 2^61 and 2^61 + 1 share one 10 s interval but no
+  // timestamp, so each run of equal timestamps is its own unit. The
+  // unit at 2^61 + 1 lies outside the store's bound and is refused
+  // frame by frame; the units around it are acked and logged as one
+  // record each.
+  constexpr int64_t kBound = kMaxTimestamp;
+  auto server = MustStart(Dir("bound"));
+  const std::vector<Response> responses = SendPipelined(
+      *server, {IngestRequest("s", kBound - 1, 1.0),
+                IngestRequest("s", kBound, 2.0),
+                IngestRequest("s", kBound, 3.0),
+                IngestRequest("s", kBound + 1, 4.0),
+                IngestRequest("s", kBound + 1, 5.0),
+                IngestRequest("s", kBound, 6.0)});
+  const StatusCode expected[] = {StatusCode::kOk,
+                                 StatusCode::kOk,
+                                 StatusCode::kOk,
+                                 StatusCode::kInvalidArgument,
+                                 StatusCode::kInvalidArgument,
+                                 StatusCode::kOk};
+  ASSERT_EQ(responses.size(), std::size(expected));
+  for (size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].code, expected[i])
+        << "response " << i << ": " << responses[i].message;
+  }
+  server->Stop();
+  auto wal = ReadWalFile(DurableSketchStore::WalPath(Dir("bound")),
+                         WalRead::kStrict);
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  const std::vector<WalRecord>& records = wal.value().records;
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].timestamp, kBound - 1);
+  EXPECT_EQ(records[0].values, (std::vector<double>{1.0}));
+  EXPECT_EQ(records[1].timestamp, kBound);
+  EXPECT_EQ(records[1].values, (std::vector<double>{2.0, 3.0}));
+  EXPECT_EQ(records[2].timestamp, kBound);
+  EXPECT_EQ(records[2].values, (std::vector<double>{6.0}));
+  auto reopened = DurableSketchStore::Open(Dir("bound"), {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto merged = reopened.value().QueryRange("s", kBound - 10, kBound);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value().count(), 4u);
+}
+
+TEST_F(ServerTest, FailedFenceWriteIsRetriedInTheBackground) {
+  // A SUBSCRIBE carrying a newer fencing token fences the server. Under
+  // a 4-byte file-size cap the LOCK rewrite fails before it changes a
+  // byte: the server refuses writes at once, and its maintenance thread
+  // writes the fence once the backoff has passed, so a restart comes
+  // back fenced at the new token instead of writable at the old one.
+  const std::string dir = Dir("fence");
+  auto server = MustStart(dir);
+  Request subscribe;
+  subscribe.op = Request::Op::kSubscribe;
+  subscribe.repl_token = 5;
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit capped = saved;
+  capped.rlim_cur = 4;
+  const auto handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  const std::vector<Response> responses = SendPipelined(*server, {subscribe});
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, handler);
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].code, StatusCode::kFenced);
+  EXPECT_TRUE(server->writes_fenced());
+
+  const std::string lock = DurableSketchStore::LockPath(dir);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::string contents;
+  while (std::chrono::steady_clock::now() < deadline) {
+    contents = std::move(ReadFileToString(lock)).value();
+    if (contents.rfind("fence=5\nfenced=1\n", 0) == 0) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(contents.rfind("fence=5\nfenced=1\n", 0), 0u) << contents;
+  server->Stop();
+  auto reopened = DurableSketchStore::Open(dir, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value().fence_token(), 5u);
+  EXPECT_TRUE(reopened.value().fenced());
 }
 
 TEST_F(ServerTest, ConcurrentClientsAllRecoverAfterStop) {

@@ -5,7 +5,8 @@
 #     must name the same flags, and a numeric flag whose value is out of
 #     range or not a number is a usage error (exit 2).
 #  1. legacy single-shard pass: start on a temp data dir, ingest 10k
-#     values over the wire via ddsketch_cli, check the quantiles against
+#     values over the wire via ddsketch_cli, check that the WAL logged
+#     them as units (at most 9 bytes a value), check the quantiles against
 #     an in-process reference sketch built from the same values (within
 #     the paper's accuracy bound), check that remote-stats prints
 #     exactly the keys of OPERATIONS.md's STATS field table, check the
@@ -107,6 +108,15 @@ PORT="$(wait_for_port "$WORK/port")"
 # Single-shard mode keeps the legacy flat layout (no SHARDS manifest).
 [ -f "$WORK/data/wal.log" ]
 [ ! -f "$WORK/data/SHARDS" ]
+# Each pipelined run of frames of one series at one timestamp is one
+# unit, logged as one WAL record of 8-byte values (record type 3 in
+# src/timeseries/wal.h): 10k values take at most 9 bytes each after the
+# 13-byte header, where one record per value took about 28.
+WAL_BYTES="$(wc -c < "$WORK/data/wal.log")"
+[ "$WAL_BYTES" -le $((13 + 9 * 10000)) ] || {
+  echo "wal.log holds $WAL_BYTES bytes for 10000 values," \
+    "want at most $((13 + 9 * 10000)): INGEST frames were not logged as units"
+  exit 1; }
 
 "$CLI" remote-query --port "$PORT" --series api.latency --start 0 --end 200 \
   0.5 0.95 0.99 > "$WORK/q1.txt"
@@ -191,7 +201,7 @@ wait "$PID" 2>/dev/null || true
 PID=""
 
 # --- 2: sharded pass (--shards 4, background checkpoints on) ---------------
-"$SKETCHD" --data-dir "$WORK/data4" --shards 4 --checkpoint-wal-bytes 65536 \
+"$SKETCHD" --data-dir "$WORK/data4" --shards 4 --checkpoint-wal-bytes 16384 \
   --port 0 --port-file "$WORK/port4" > "$WORK/sketchd4.log" 2>&1 &
 PID=$!
 PORT="$(wait_for_port "$WORK/port4")"
@@ -213,9 +223,10 @@ for s in 0 1 2 3; do
   cmp "$WORK/q4_$s.txt" "$WORK/q1.txt"
 done
 
-# Background checkpoints: each series pushed ~300 kB into its shard's
-# WAL, far past --checkpoint-wal-bytes, so the scheduler must have
-# checkpointed (epoch >= 2 on some shard) with no client CHECKPOINT sent.
+# Background checkpoints: each series pushed ~81 kB of units into its
+# shard's WAL, about five times --checkpoint-wal-bytes, so the scheduler
+# must have checkpointed (epoch >= 2 on some shard) with no client
+# CHECKPOINT sent.
 i=0
 while :; do
   "$CLI" remote-stats --port "$PORT" > "$WORK/stats4.txt"

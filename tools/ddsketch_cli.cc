@@ -379,10 +379,11 @@ int CmdIngest(int argc, char** argv) {
 
   // Commit in bounded windows, as remote-ingest streams them: memory
   // stays O(window) however large the pipe, and each window is one
-  // group commit (one write, one fsync).
+  // group commit (one write, one fsync). Within a window, each run of
+  // lines at one timestamp is one WAL record, as sketchd logs a
+  // pipelined burst.
   constexpr size_t kWindow = 4096;
   std::vector<dd::WalRecord> window;
-  window.reserve(kWindow);
   std::string line;
   uint64_t ingested = 0, bad = 0;
   auto flush = [&] {
@@ -392,17 +393,20 @@ int CmdIngest(int argc, char** argv) {
   };
   while (std::getline(std::cin, line)) {
     if (line.empty()) continue;
-    dd::WalRecord record;
-    record.type = dd::WalRecord::Type::kIngestValue;
-    record.series = args.series;
-    record.timestamp = args.timestamp;
-    if (!ParseLine(line, &record.timestamp, &record.value)) {
+    int64_t timestamp = args.timestamp;
+    double value = 0;
+    if (!ParseLine(line, &timestamp, &value)) {
       ++bad;
       continue;
     }
-    window.push_back(std::move(record));
-    ++ingested;
-    if (window.size() >= kWindow) {
+    if (window.empty() || window.back().timestamp != timestamp) {
+      dd::WalRecord& record = window.emplace_back();
+      record.type = dd::WalRecord::Type::kIngestValues;
+      record.series = args.series;
+      record.timestamp = timestamp;
+    }
+    window.back().values.push_back(value);
+    if (++ingested % kWindow == 0) {
       if (dd::Status s = flush(); !s.ok()) return Fail(s.ToString());
     }
   }
