@@ -1,12 +1,20 @@
 // google-benchmark microbenchmarks: per-operation costs of every sketch
 // (add, merge, quantile) plus the mapping index computations — the
 // operations behind Figures 8 and 9, measured with proper repetition
-// statistics rather than one-shot wall clock.
+// statistics rather than one-shot wall clock — and the per-frame costs
+// of sketchd's ingest path (checksum, frame decode).
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <string_view>
+
 #include "bench/common/params.h"
 #include "data/datasets.h"
+#include "server/protocol.h"
+#include "timeseries/wal.h"
+#include "util/crc32.h"
+#include "util/rng.h"
 
 namespace dd::bench {
 namespace {
@@ -295,6 +303,117 @@ void BM_DDSketchDeserialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DDSketchDeserialize);
+
+// ---- Ingest path: checksum and frame decode -------------------------------
+
+// CRC-32C at the sizes sketchd checksums: about one INGEST frame body
+// (22 B), one 256-value type-3 WAL record (2 KB), and a slice of a
+// snapshot (1 MB). Each call continues the last one's value, as a
+// chained checksum would.
+using Crc32cFn = uint32_t (*)(uint32_t, std::string_view) noexcept;
+
+void BM_Crc32c(benchmark::State& state, Crc32cFn crc32c) {
+  if (crc32c != &crc32c_internal::Table && !crc32c_internal::UsesHardware()) {
+    state.SkipWithError("this CPU has no hardware CRC-32C path");
+    return;
+  }
+  Rng rng(42);
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  for (char& c : data) c = static_cast<char>(rng.NextBounded(256));
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = crc32c(crc, data);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK_CAPTURE(BM_Crc32c, table, &crc32c_internal::Table)
+    ->Arg(22)->Arg(2048)->Arg(1 << 20);
+#if defined(__x86_64__)
+BENCHMARK_CAPTURE(BM_Crc32c, sse42, &crc32c_internal::Sse42)
+    ->Arg(22)->Arg(2048)->Arg(1 << 20);
+#endif
+
+// 512 framed INGEST frames of one series at one timestamp (the shape of
+// perfbench's ingest_raw), read into one unit. `request` decodes each
+// body with DecodeRequest, which builds a Request (three strings, two
+// vectors) per frame. `in_place` is sketchd's run collector: it reads
+// each body with DecodeIngest, and a frame that joins the unit appends
+// one double. Both pay DecodeFrame, whose CRC is Crc32c.
+constexpr int kBurstFrames = 512;
+
+std::string IngestBurst() {
+  Request request;
+  request.op = Request::Op::kIngest;
+  request.series = "s0042";
+  request.timestamp = 1700000000;
+  std::string burst;
+  for (int i = 0; i < kBurstFrames; ++i) {
+    request.value = 0.5 * i;
+    burst += EncodeRequest(request);
+  }
+  return burst;
+}
+
+/// Joins one INGEST to `unit` as the collector does: a same-series,
+/// same-timestamp frame appends its value, any other restarts the unit.
+void JoinUnit(WalRecord* unit, std::string_view series, int64_t timestamp,
+              double value) {
+  if (!unit->values.empty() && unit->timestamp == timestamp &&
+      unit->series == series) {
+    unit->values.push_back(value);
+    return;
+  }
+  unit->series.assign(series);
+  unit->timestamp = timestamp;
+  unit->values.assign(1, value);
+}
+
+template <bool kInPlace>
+void BM_IngestFrameDecode(benchmark::State& state) {
+  const std::string burst = IngestBurst();
+  WalRecord unit;
+  for (auto _ : state) {
+    unit.values.clear();
+    std::string_view rest = burst;
+    while (!rest.empty()) {
+      size_t frame_size = 0;
+      auto body = DecodeFrame(rest, &frame_size);
+      if (!body.ok()) {
+        state.SkipWithError("frame did not decode");
+        return;
+      }
+      if constexpr (kInPlace) {
+        const auto ingest = DecodeIngest(body.value());
+        if (!ingest) {
+          state.SkipWithError("INGEST body did not parse");
+          return;
+        }
+        JoinUnit(&unit, ingest->series, ingest->timestamp, ingest->value);
+      } else {
+        auto request = DecodeRequest(body.value());
+        if (!request.ok()) {
+          state.SkipWithError("request did not decode");
+          return;
+        }
+        JoinUnit(&unit, request.value().series, request.value().timestamp,
+                 request.value().value);
+      }
+      rest.remove_prefix(frame_size);
+    }
+    benchmark::DoNotOptimize(unit.values.data());
+    benchmark::ClobberMemory();
+  }
+  // Time per frame, in seconds.
+  state.counters["per_frame"] = benchmark::Counter(
+      kBurstFrames, benchmark::Counter::kIsIterationInvariantRate |
+                        benchmark::Counter::kInvert);
+}
+BENCHMARK_TEMPLATE(BM_IngestFrameDecode, false)
+    ->Name("BM_IngestFrameDecode/request");
+BENCHMARK_TEMPLATE(BM_IngestFrameDecode, true)
+    ->Name("BM_IngestFrameDecode/in_place");
 
 }  // namespace
 }  // namespace dd::bench

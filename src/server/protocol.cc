@@ -385,11 +385,14 @@ Result<Request> DecodeRequest(std::string_view body) {
   Request request;
   request.op = static_cast<Request::Op>(op);
   switch (request.op) {
-    case Request::Op::kIngest:
-      DD_RETURN_IF_ERROR(GetLengthPrefixed(&in, &request.series));
-      DD_RETURN_IF_ERROR(in.GetVarintSigned64(&request.timestamp));
-      DD_RETURN_IF_ERROR(in.GetFixedDouble(&request.value));
-      break;
+    case Request::Op::kIngest: {
+      const std::optional<IngestView> ingest = DecodeIngest(body);
+      if (!ingest) return Status::Corruption("malformed INGEST request");
+      request.series.assign(ingest->series);
+      request.timestamp = ingest->timestamp;
+      request.value = ingest->value;
+      return request;  // DecodeIngest refuses trailing bytes itself
+    }
     case Request::Op::kMerge:
       DD_RETURN_IF_ERROR(GetLengthPrefixed(&in, &request.series));
       DD_RETURN_IF_ERROR(in.GetVarintSigned64(&request.timestamp));
@@ -418,6 +421,30 @@ Result<Request> DecodeRequest(std::string_view body) {
   }
   DD_RETURN_IF_ERROR(CheckDrained(in));
   return request;
+}
+
+std::optional<IngestView> DecodeIngest(std::string_view body) noexcept {
+  // op · series (length-prefixed) · timestamp (zigzag varint) · value
+  // (fixed64), and nothing after it.
+  if (body.empty() || static_cast<uint8_t>(body.front()) !=
+                          static_cast<uint8_t>(Request::Op::kIngest)) {
+    return std::nullopt;
+  }
+  body.remove_prefix(1);
+  uint64_t series_len = 0;
+  if (!ConsumeVarint64(&body, &series_len) || series_len > body.size()) {
+    return std::nullopt;
+  }
+  IngestView ingest;
+  ingest.series = body.substr(0, series_len);
+  body.remove_prefix(series_len);
+  uint64_t timestamp = 0;
+  if (!ConsumeVarint64(&body, &timestamp) || body.size() != sizeof(double)) {
+    return std::nullopt;
+  }
+  ingest.timestamp = ZigZagDecode(timestamp);
+  std::memcpy(&ingest.value, body.data(), sizeof(double));
+  return ingest;
 }
 
 std::string EncodeResponse(const Response& response) {

@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -245,6 +246,20 @@ std::string EncodeResponse(const Response& response);
 /// truncated, or trailing bytes fail with Corruption.
 Result<Request> DecodeRequest(std::string_view body);
 Result<Response> DecodeResponse(std::string_view body);
+
+/// An INGEST request's fields, read in place: `series` is a view into
+/// the body it was parsed from.
+struct IngestView {
+  std::string_view series;
+  int64_t timestamp = 0;
+  double value = 0;
+};
+
+/// Parses an INGEST request body without copying it and without a
+/// Status per field. Returns nullopt for a body of any other op and for
+/// every INGEST body DecodeRequest refuses: DecodeRequest's INGEST case
+/// is this parser, so the two cannot disagree.
+std::optional<IngestView> DecodeIngest(std::string_view body) noexcept;
 
 /// The `remote-stats` text of a STATS payload: one `name value` line
 /// per scalar in wire order, then one `kind key name=value ...` line per

@@ -27,24 +27,22 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using TimePoint = Clock::time_point;
 
-bool IsIngestOp(Request::Op op) {
-  return op == Request::Op::kIngest || op == Request::Op::kMerge;
+/// True when a frame body is an INGEST by its op byte. The run collector
+/// reads such a body with DecodeIngest, in place, and every other body
+/// with DecodeRequest.
+bool IsIngestBody(std::string_view body) {
+  return !body.empty() && static_cast<uint8_t>(body.front()) ==
+                              static_cast<uint8_t>(Request::Op::kIngest);
 }
 
-/// Moves a decoded INGEST/MERGE into the record it is logged as: the
-/// series and payload bytes are decoded once and never copied after. An
-/// INGEST starts a unit of one value that later frames may join.
-WalRecord ToWalRecord(Request&& request) {
+/// Moves a decoded MERGE into the record it is logged as: the series and
+/// payload bytes are decoded once and never copied after.
+WalRecord ToWalRecord(Request&& merge) {
   WalRecord record;
-  record.series = std::move(request.series);
-  record.timestamp = request.timestamp;
-  if (request.op == Request::Op::kIngest) {
-    record.type = WalRecord::Type::kIngestValues;
-    record.values.push_back(request.value);
-  } else {
-    record.type = WalRecord::Type::kIngestSketch;
-    record.payload = std::move(request.payload);
-  }
+  record.type = WalRecord::Type::kIngestSketch;
+  record.series = std::move(merge.series);
+  record.timestamp = merge.timestamp;
+  record.payload = std::move(merge.payload);
   return record;
 }
 
@@ -404,47 +402,27 @@ class SketchServer::EventLoop {
           c->left_behind_stamp != TimePoint{}
               ? std::exchange(c->left_behind_stamp, TimePoint{})
               : Clock::now();
-      auto request = DecodeRequest(body);
-      if (!request.ok()) {
-        CloseConn(c, true);  // CRC passed but body malformed: broken peer
-        return;
-      }
-      if (request.value().op == Request::Op::kSubscribe) {
-        HandleSubscribe(c, request.value(), unit_start);
-        if (c->closed) return;  // adopted by the shipper (or shed)
-        continue;
-      }
-      if (request.value().op == Request::Op::kSetTag) {
-        // Intercepted here (like SUBSCRIBE) because it mutates the
-        // Conn: every later ingest on this connection charges the
-        // declared tag's ledger.
-        Response response;
-        response.op = Request::Op::kSetTag;
-        const std::string& tag = request.value().tag;
-        if (!TagAdmissionLedger::ValidTagName(tag)) {
-          response.code = StatusCode::kInvalidArgument;
-          response.message = "invalid tag: want 1-64 chars of [A-Za-z0-9._-]";
-        } else if (const auto id = server_->ledger_->RegisterTag(tag)) {
-          c->tag_id = *id;
-        } else {
-          // Table full: refuse distinctly (not BUSY — retrying cannot
-          // help) and leave the connection on its current tag, so a
-          // junk-tag spray cannot grow server state without bound.
-          response.code = StatusCode::kResourceExhausted;
-          response.message = "tag table full; connection keeps its current tag";
+      std::unique_ptr<IngestRun> run;
+      if (IsIngestBody(body)) {
+        run = NewRun(c, unit_start);
+        if (!AddIngest(run.get(), body)) {
+          CloseConn(c, true);  // CRC passed but body malformed: broken peer
+          return;
         }
-        c->io.QueueWrite(EncodeResponse(response));
-        RecordOpLatency(LatencyOp::kStats, unit_start, Clock::now());
-        FlushConn(c);
-        continue;
-      }
-      if (!IsIngestOp(request.value().op)) {
-        c->io.QueueWrite(
-            EncodeResponse(server_->HandleNonIngest(request.value())));
-        RecordOpLatency(NonIngestLatencyOp(request.value().op), unit_start,
-                        Clock::now());
-        FlushConn(c);
-        continue;
+      } else {
+        auto request = DecodeRequest(body);
+        if (!request.ok()) {
+          CloseConn(c, true);  // CRC passed but body malformed: broken peer
+          return;
+        }
+        if (request.value().op != Request::Op::kMerge) {
+          HandleRequest(c, request.value(), unit_start);
+          if (c->closed) return;  // adopted by the shipper (or shed)
+          continue;
+        }
+        run = NewRun(c, unit_start);
+        run->entries.emplace_back().record =
+            ToWalRecord(std::move(request).value());
       }
       // Collect the pipelined run of ingest requests already buffered,
       // so one client's burst becomes one staged group per shard. The
@@ -453,11 +431,6 @@ class SketchServer::EventLoop {
       const size_t run_cap =
           std::min(server_->options_.commit_batch * server_->shards_.size(),
                    kMaxRunFrames);
-      auto run = std::make_unique<IngestRun>();
-      run->loop = this;
-      run->conn = c;
-      run->start = unit_start;
-      AddFrame(run.get(), std::move(request).value());
       for (size_t frames = 1; frames < run_cap; ++frames) {
         std::string_view next;
         auto more = c->io.PeekBufferedFrame(&next);
@@ -467,19 +440,30 @@ class SketchServer::EventLoop {
         }
         if (!more.value()) break;
         c->stall_deadline = {};
-        auto next_request = DecodeRequest(next);
-        if (!next_request.ok()) {
-          CloseConn(c, true);
-          return;
-        }
-        if (!IsIngestOp(next_request.value().op)) {
-          // Leave it buffered and handle it after the run; keeps
-          // responses in request order.
-          c->left_behind_stamp = Clock::now();
-          break;
+        if (IsIngestBody(next)) {
+          if (!AddIngest(run.get(), next)) {
+            CloseConn(c, true);
+            return;
+          }
+        } else {
+          // Decoded in full even when it ends the run, so a malformed
+          // body anywhere in the burst closes the connection before any
+          // of the run is staged.
+          auto next_request = DecodeRequest(next);
+          if (!next_request.ok()) {
+            CloseConn(c, true);
+            return;
+          }
+          if (next_request.value().op != Request::Op::kMerge) {
+            // Leave it buffered and handle it after the run; keeps
+            // responses in request order.
+            c->left_behind_stamp = Clock::now();
+            break;
+          }
+          run->entries.emplace_back().record =
+              ToWalRecord(std::move(next_request).value());
         }
         c->io.ConsumePeekedFrame();
-        AddFrame(run.get(), std::move(next_request).value());
       }
       c->run = std::move(run);
       if (server_->StageIngestRun(c->run.get())) {
@@ -489,21 +473,74 @@ class SketchServer::EventLoop {
     }
   }
 
-  /// Adds one decoded INGEST/MERGE frame to `run`: an INGEST joins the
+  /// A request that is neither an INGEST nor a MERGE: answered at once,
+  /// or for an OK SUBSCRIBE, handed to the replication shipper.
+  void HandleRequest(Conn* c, const Request& request, TimePoint unit_start) {
+    if (request.op == Request::Op::kSubscribe) {
+      HandleSubscribe(c, request, unit_start);
+      return;
+    }
+    if (request.op == Request::Op::kSetTag) {
+      // Intercepted here (like SUBSCRIBE) because it mutates the Conn:
+      // every later ingest on this connection charges the declared
+      // tag's ledger.
+      Response response;
+      response.op = Request::Op::kSetTag;
+      if (!TagAdmissionLedger::ValidTagName(request.tag)) {
+        response.code = StatusCode::kInvalidArgument;
+        response.message = "invalid tag: want 1-64 chars of [A-Za-z0-9._-]";
+      } else if (const auto id = server_->ledger_->RegisterTag(request.tag)) {
+        c->tag_id = *id;
+      } else {
+        // Table full: refuse distinctly (not BUSY — retrying cannot
+        // help) and leave the connection on its current tag, so a
+        // junk-tag spray cannot grow server state without bound.
+        response.code = StatusCode::kResourceExhausted;
+        response.message = "tag table full; connection keeps its current tag";
+      }
+      c->io.QueueWrite(EncodeResponse(response));
+      RecordOpLatency(LatencyOp::kStats, unit_start, Clock::now());
+      FlushConn(c);
+      return;
+    }
+    c->io.QueueWrite(EncodeResponse(server_->HandleNonIngest(request)));
+    RecordOpLatency(NonIngestLatencyOp(request.op), unit_start, Clock::now());
+    FlushConn(c);
+  }
+
+  /// A run for connection `c` whose first frame was framed at `start`.
+  std::unique_ptr<IngestRun> NewRun(Conn* c, TimePoint start) {
+    auto run = std::make_unique<IngestRun>();
+    run->loop = this;
+    run->conn = c;
+    run->start = start;
+    return run;
+  }
+
+  /// Reads one INGEST body into `run` in place (DecodeIngest); false,
+  /// adding nothing, when the body is malformed. The frame joins the
   /// unit of INGESTs it follows when its series and timestamp are the
-  /// unit's; any other frame starts a unit of its own.
-  void AddFrame(IngestRun* run, Request&& request) {
-    if (request.op == Request::Op::kIngest && !run->entries.empty()) {
+  /// unit's, and then costs one appended double. Otherwise it starts a
+  /// unit, the only place its series bytes are copied.
+  bool AddIngest(IngestRun* run, std::string_view body) {
+    const std::optional<IngestView> ingest = DecodeIngest(body);
+    if (!ingest) return false;
+    if (!run->entries.empty()) {
       PendingIngest& last = run->entries.back();
       if (last.record.type == WalRecord::Type::kIngestValues &&
-          last.record.series == request.series &&
-          last.record.timestamp == request.timestamp) {
-        last.record.values.push_back(request.value);
+          last.record.timestamp == ingest->timestamp &&
+          last.record.series == ingest->series) {
+        last.record.values.push_back(ingest->value);
         ++last.frames;
-        return;
+        return true;
       }
     }
-    run->entries.emplace_back().record = ToWalRecord(std::move(request));
+    WalRecord& record = run->entries.emplace_back().record;
+    record.type = WalRecord::Type::kIngestValues;
+    record.series.assign(ingest->series);
+    record.timestamp = ingest->timestamp;
+    record.values.push_back(ingest->value);
+    return true;
   }
 
   /// SUBSCRIBE: validate, then hand the socket to the replication

@@ -35,23 +35,11 @@ void PutFixed32(std::string* out, uint32_t value) {
 }
 
 Status Slice::GetVarint64(uint64_t* value) {
-  uint64_t result = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (data_.empty()) {
-      return Status::Corruption("truncated varint");
-    }
-    const uint8_t byte = static_cast<uint8_t>(data_.front());
-    data_.remove_prefix(1);
-    if (shift == 63 && (byte & 0x7e) != 0) {
-      return Status::Corruption("varint overflows 64 bits");
-    }
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *value = result;
-      return Status::OK();
-    }
-  }
-  return Status::Corruption("varint longer than 10 bytes");
+  // Under kMaxVarintBytes bytes, the only way to fail is to run out.
+  const bool short_input = data_.size() < static_cast<size_t>(kMaxVarintBytes);
+  if (ConsumeVarint64(&data_, value)) return Status::OK();
+  return Status::Corruption(short_input ? "truncated varint"
+                                        : "varint past 10 bytes or 64 bits");
 }
 
 Status Slice::GetVarintSigned64(int64_t* value) {

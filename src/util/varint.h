@@ -33,6 +33,28 @@ void PutFixedDouble(std::string* out, double value);
 /// survives arbitrary corruption of the checksummed bytes.
 void PutFixed32(std::string* out, uint32_t value);
 
+/// Reads one LEB128 varint off the front of `*in` and advances past it,
+/// without building a Status. Returns false, leaving `*in` unspecified,
+/// when the varint is truncated, runs past kMaxVarintBytes bytes, or
+/// carries more than bit 63 in its 10th byte. Slice::GetVarint64 is this
+/// plus a Status; a parser run once per socket frame (DecodeIngest) calls
+/// it directly.
+inline bool ConsumeVarint64(std::string_view* in, uint64_t* value) noexcept {
+  uint64_t result = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (in->empty()) return false;
+    const auto byte = static_cast<uint8_t>(in->front());
+    in->remove_prefix(1);
+    if (shift == 63 && (byte & 0x7e) != 0) return false;
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      *value = result;
+      return true;
+    }
+  }
+  return false;
+}
+
 /// A consuming read cursor over a serialized payload. All Get* methods
 /// return Corruption on truncated or malformed input and leave the cursor
 /// position unspecified afterwards.

@@ -73,10 +73,11 @@ class RawConn {
     return true;
   }
 
-  /// Waits for the server to close this connection, discarding anything
-  /// it sends first (e.g. its hello). False if the deadline passes with
-  /// the connection still open.
-  bool WaitForEof(int64_t timeout_ms) {
+  /// Waits for the server to close this connection. What it sends first
+  /// (e.g. its hello) is appended to `received` when given, else
+  /// discarded. False if the deadline passes with the connection still
+  /// open.
+  bool WaitForEof(int64_t timeout_ms, std::string* received = nullptr) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
     char buf[512];
@@ -90,6 +91,7 @@ class RawConn {
         }
         return true;  // ECONNRESET & friends: the server dropped us
       }
+      if (received != nullptr) received->append(buf, static_cast<size_t>(n));
     }
     return false;
   }
@@ -215,6 +217,65 @@ TEST_F(FaultInjectionTest, OversizedDeclaredFrameLengthIsRejected) {
   ASSERT_TRUE(attacker.Send(attack));
   EXPECT_TRUE(attacker.WaitForEof(3000));
   ExpectServes(*server, "svc.after_oversized");
+}
+
+TEST_F(FaultInjectionTest, MalformedBodyClosesTheBurstBeforeAnyOfItIsStaged) {
+  // sketchd collects a pipelined burst of INGEST frames into one run
+  // before it stages any of it. A frame whose CRC checks out but whose
+  // body does not parse closes the connection there, whether it is an
+  // INGEST (read in place) or another op (decoded in full): no frame of
+  // the burst is answered, staged or logged.
+  SketchServerOptions options;
+  auto server = MustStart(Dir("malformed"), options);
+  auto client = SketchClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  Request ingest;
+  ingest.op = Request::Op::kIngest;
+  ingest.series = "svc.burst";
+  ingest.timestamp = 10;
+  std::string valid;
+  for (int i = 0; i < 8; ++i) {
+    ingest.value = 1.0 + i;
+    valid += EncodeRequest(ingest);
+  }
+  size_t frame_size = 0;
+  const std::string ingest_frame = EncodeRequest(ingest);
+  const std::string ingest_body(DecodeFrame(ingest_frame, &frame_size).value());
+  Request query;
+  query.op = Request::Op::kQuery;
+  query.series = "svc.burst";
+  query.end = 100;
+  query.quantiles = {0.5};
+  const std::string query_frame = EncodeRequest(query);
+  const std::string query_body(DecodeFrame(query_frame, &frame_size).value());
+  const struct {
+    const char* what;
+    std::string bad_frame;
+  } cases[] = {
+      {"INGEST with a trailing byte", EncodeFrame(ingest_body + '\0')},
+      {"unknown op 0x0a", EncodeFrame(std::string(1, '\x0a'))},
+      {"truncated QUERY",
+       EncodeFrame(query_body.substr(0, query_body.size() - 1))},
+  };
+  for (const auto& bad : cases) {
+    SCOPED_TRACE(bad.what);
+    auto before = client.value().Stats();
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+    RawConn raw = RawConn::Connect(server->port());
+    ASSERT_TRUE(raw.Send(EncodeHello() + valid + bad.bad_frame));
+    std::string received;
+    EXPECT_TRUE(raw.WaitForEof(3000, &received));
+    EXPECT_EQ(received, EncodeHello());  // the hello echo, no answer
+
+    auto after = client.value().Stats();
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EXPECT_EQ(after.value().wal_offset, before.value().wal_offset);
+    auto fresh = SketchClient::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_FALSE(fresh.value().Query("svc.burst", 0, 100, {0.5}).ok());
+  }
 }
 
 TEST_F(FaultInjectionTest, ConnectFloodDoesNotStarveHonestClients) {

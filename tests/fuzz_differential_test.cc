@@ -8,8 +8,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -1104,6 +1107,257 @@ TEST(FuzzProtocolV7TruncationTest, EveryBodyTruncationIsCorruption) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzProtocolV7CorruptionTest,
                          ::testing::Range<uint64_t>(1, 5));
+
+// ---------------------------------------------------------------------
+// INGEST bodies read in place. sketchd's run collector parses every
+// INGEST body with DecodeIngest, which reads views and builds no Status
+// per field. It must accept exactly the bodies a field-by-field Slice
+// parse accepts, with equal fields, or the collector and DecodeRequest
+// would disagree about what a peer sent. The mix covers one- and
+// two-byte series lengths, the timestamp extremes and the double
+// values that compare oddly; the mutations cover bit flips, every
+// truncation, a trailing byte, over-long varints and a 10th varint byte
+// carrying more than bit 63.
+
+/// An INGEST's fields, the value as its bits (NaN payloads, -0.0).
+struct IngestFields {
+  std::string series;
+  int64_t timestamp = 0;
+  uint64_t value_bits = 0;
+  bool operator==(const IngestFields&) const = default;
+};
+
+/// The reference: the INGEST layout read through Slice, field by field.
+std::optional<IngestFields> SliceIngest(std::string_view body) {
+  Slice in(body);
+  std::string_view op;
+  if (!in.GetBytes(1, &op).ok() ||
+      static_cast<uint8_t>(op[0]) !=
+          static_cast<uint8_t>(Request::Op::kIngest)) {
+    return std::nullopt;
+  }
+  uint64_t series_len = 0;
+  std::string_view series;
+  IngestFields fields;
+  double value = 0;
+  if (!in.GetVarint64(&series_len).ok() || series_len > in.remaining() ||
+      !in.GetBytes(series_len, &series).ok() ||
+      !in.GetVarintSigned64(&fields.timestamp).ok() ||
+      !in.GetFixedDouble(&value).ok() || !in.empty()) {
+    return std::nullopt;
+  }
+  fields.series.assign(series);
+  std::memcpy(&fields.value_bits, &value, sizeof(value));
+  return fields;
+}
+
+std::optional<IngestFields> ViewIngest(std::string_view body) {
+  const std::optional<IngestView> ingest = DecodeIngest(body);
+  if (!ingest) return std::nullopt;
+  IngestFields fields;
+  fields.series.assign(ingest->series);
+  fields.timestamp = ingest->timestamp;
+  std::memcpy(&fields.value_bits, &ingest->value, sizeof(double));
+  return fields;
+}
+
+std::string HexBytes(std::string_view bytes) {
+  std::string out;
+  char buf[3];
+  for (const char c : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", static_cast<uint8_t>(c));
+    out += buf;
+  }
+  return out;
+}
+
+/// Both parsers, and DecodeRequest, give one verdict on `body`.
+void ExpectIngestParsersAgree(std::string_view body) {
+  const std::optional<IngestFields> reference = SliceIngest(body);
+  const std::optional<IngestFields> view = ViewIngest(body);
+  ASSERT_EQ(view.has_value(), reference.has_value()) << HexBytes(body);
+  if (view) {
+    EXPECT_EQ(*view, *reference) << HexBytes(body);
+  }
+  if (body.empty() || static_cast<uint8_t>(body[0]) !=
+                          static_cast<uint8_t>(Request::Op::kIngest)) {
+    return;
+  }
+  auto request = DecodeRequest(body);
+  ASSERT_EQ(request.ok(), reference.has_value()) << HexBytes(body);
+  if (request.ok()) {
+    EXPECT_EQ(request.value().series, reference->series);
+    EXPECT_EQ(request.value().timestamp, reference->timestamp);
+  } else {
+    EXPECT_EQ(request.status().code(), StatusCode::kCorruption);
+  }
+}
+
+/// `value` as a LEB128 varint of exactly `width` bytes, at least its
+/// minimal width: zero groups with the continuation bit pad it out.
+std::string PaddedVarint(uint64_t value, int width) {
+  std::string out;
+  for (int i = 0; i < width; ++i) {
+    uint8_t group = 7 * i < 64 ? (value >> (7 * i)) & 0x7f : 0;
+    if (i + 1 < width) group |= 0x80;
+    out.push_back(static_cast<char>(group));
+  }
+  return out;
+}
+
+int VarintWidth(uint64_t value) {
+  std::string encoded;
+  PutVarint64(&encoded, value);
+  return static_cast<int>(encoded.size());
+}
+
+/// An INGEST body from its encoded parts.
+std::string IngestBody(std::string_view series_len, std::string_view series,
+                       std::string_view timestamp, double value) {
+  std::string body(1, static_cast<char>(Request::Op::kIngest));
+  body.append(series_len);
+  body.append(series);
+  body.append(timestamp);
+  PutFixedDouble(&body, value);
+  return body;
+}
+
+/// The INGEST bodies of the mix, as EncodeRequest frames them.
+std::vector<std::string> IngestWireMix() {
+  const std::string series[] = {"", "s0042", std::string(127, 'a'),
+                                std::string(128, 'b')};
+  const int64_t timestamps[] = {0,
+                                -1,
+                                1700000000,
+                                int64_t{1} << 61,
+                                -(int64_t{1} << 61),
+                                std::numeric_limits<int64_t>::min(),
+                                std::numeric_limits<int64_t>::max()};
+  const double values[] = {0.0,
+                           -0.0,
+                           1.5,
+                           -2.25e300,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()};
+  std::vector<std::string> bodies;
+  for (const std::string& s : series) {
+    for (const int64_t ts : timestamps) {
+      for (const double v : values) {
+        Request request;
+        request.op = Request::Op::kIngest;
+        request.series = s;
+        request.timestamp = ts;
+        request.value = v;
+        const std::string frame = EncodeRequest(request);
+        size_t frame_size = 0;
+        auto body = DecodeFrame(frame, &frame_size);
+        EXPECT_TRUE(body.ok());
+        bodies.emplace_back(body.value());
+      }
+    }
+  }
+  return bodies;
+}
+
+TEST(IngestParserDifferentialTest, WireMixAndItsFlipsTruncationsAndTails) {
+  for (const std::string& body : IngestWireMix()) {
+    ASSERT_TRUE(ViewIngest(body).has_value()) << HexBytes(body);
+    ExpectIngestParsersAgree(body);
+    for (size_t bit = 0; bit < 8 * body.size(); ++bit) {
+      std::string flipped = body;
+      flipped[bit / 8] = static_cast<char>(static_cast<uint8_t>(
+          flipped[bit / 8] ^ (1u << (bit % 8))));
+      ExpectIngestParsersAgree(flipped);
+    }
+    for (size_t cut = 0; cut < body.size(); ++cut) {
+      ExpectIngestParsersAgree(std::string_view(body).substr(0, cut));
+    }
+    for (const char tail : {'\x00', '\x01', '\x80', '\xff'}) {
+      ExpectIngestParsersAgree(body + tail);
+    }
+  }
+}
+
+TEST(IngestParserDifferentialTest, RandomEditsOfTheWireMix) {
+  Rng rng(31337);
+  for (const std::string& body : IngestWireMix()) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::string mutated = body;
+      const int edits = 1 + static_cast<int>(rng.NextBounded(4));
+      for (int e = 0; e < edits; ++e) {
+        mutated[rng.NextBounded(mutated.size())] =
+            static_cast<char>(rng.NextBounded(256));
+      }
+      ExpectIngestParsersAgree(mutated);
+    }
+  }
+}
+
+TEST(IngestParserDifferentialTest, OverLongVarints) {
+  const std::string series = "s0042";
+  for (const int64_t ts : {int64_t{0}, int64_t{-1}, int64_t{1700000000},
+                           std::numeric_limits<int64_t>::min()}) {
+    const uint64_t zigzag = ZigZagEncode(ts);
+    // Padded past its minimal width, up to and past the 10-byte limit:
+    // up to 10 bytes both parsers accept the value, an 11th refuses it.
+    for (int width = VarintWidth(series.size()); width <= 11; ++width) {
+      for (int ts_width = VarintWidth(zigzag); ts_width <= 11; ++ts_width) {
+        ExpectIngestParsersAgree(
+            IngestBody(PaddedVarint(series.size(), width), series,
+                       PaddedVarint(zigzag, ts_width), 2.5));
+      }
+    }
+  }
+}
+
+TEST(IngestParserDifferentialTest, TenthVarintByteCarriesOnlyBit63) {
+  // A 10-byte varint's last byte holds bit 63 alone: 0x00 and 0x01 parse,
+  // anything else (a continuation bit, or bits past 63) is refused.
+  const std::string series = "s0042";
+  for (int last = 0; last < 256; ++last) {
+    std::string timestamp = PaddedVarint(ZigZagEncode(-7), 10);
+    timestamp[9] = static_cast<char>(last);
+    ExpectIngestParsersAgree(
+        IngestBody(PaddedVarint(series.size(), 1), series, timestamp, 2.5));
+    std::string series_len = PaddedVarint(series.size(), 10);
+    series_len[9] = static_cast<char>(last);
+    ExpectIngestParsersAgree(IngestBody(series_len, series,
+                                        PaddedVarint(ZigZagEncode(-7), 1),
+                                        2.5));
+  }
+}
+
+TEST(IngestParserDifferentialTest, OtherRequestBodiesAreNotIngests) {
+  // Every other request of the mix, and its bit flips (one of which
+  // turns its op byte into INGEST's).
+  Request query;
+  query.op = Request::Op::kQuery;
+  query.series = "s0042";
+  query.start = 0;
+  query.end = 3600;
+  query.quantiles = {0.5, 0.99};
+  Request merge;
+  merge.op = Request::Op::kMerge;
+  merge.series = "s0042";
+  merge.timestamp = 1700000000;
+  merge.payload = "not checked by the protocol";
+  for (const std::string& frame :
+       {EncodeRequest(query), EncodeRequest(merge), CompactRequestFrame(),
+        SubscribeRequestFrame(), SetTagRequestFrame()}) {
+    size_t frame_size = 0;
+    auto decoded = DecodeFrame(frame, &frame_size);
+    ASSERT_TRUE(decoded.ok());
+    const std::string body(decoded.value());
+    ASSERT_FALSE(DecodeIngest(body).has_value());
+    for (size_t bit = 0; bit < 8 * body.size(); ++bit) {
+      std::string flipped = body;
+      flipped[bit / 8] = static_cast<char>(static_cast<uint8_t>(
+          flipped[bit / 8] ^ (1u << (bit % 8))));
+      ExpectIngestParsersAgree(flipped);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dd
