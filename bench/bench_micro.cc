@@ -2,16 +2,20 @@
 // (add, merge, quantile) plus the mapping index computations — the
 // operations behind Figures 8 and 9, measured with proper repetition
 // statistics rather than one-shot wall clock — and the per-frame costs
-// of sketchd's ingest path (checksum, frame decode).
+// of sketchd's ingest path (checksum, frame decode, a MERGE payload's
+// validation and merge, a snapshot's decode).
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
 #include <string>
 #include <string_view>
 
 #include "bench/common/params.h"
 #include "data/datasets.h"
 #include "server/protocol.h"
+#include "timeseries/sketch_store.h"
+#include "timeseries/snapshot.h"
 #include "timeseries/wal.h"
 #include "util/crc32.h"
 #include "util/rng.h"
@@ -303,6 +307,133 @@ void BM_DDSketchDeserialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DDSketchDeserialize);
+
+// ---- MERGE path: a payload's validation, decode and merge -----------------
+
+// One MERGE payload as the durable store handles it: validated on the
+// event loop (DurableSketchStore::ValidateRecord), checked again by the
+// committer before the WAL append (DecodeRecords), then merged into its
+// interval. Two shapes: perfbench's ingest_sketches (1000 Pareto values,
+// ~179 buckets, ~405 B) into an interval that already holds data, and
+// query_mixed's history preload (50 values, ~40 buckets, ~126 B) into an
+// empty interval, which is stored frozen.
+// `deserialize_twice` is the path that builds a sketch at each step: two
+// Deserialize calls, then MergeFrom into the dense interval, or a copy
+// of the prototype + MergeFrom + Freeze for the empty one.
+// `decode_once` walks the payload twice (SketchStore::CheckPayload) and
+// merges its own image: MergeEncoded into the dense interval, a copy as
+// the empty one's frozen bytes.
+struct MergePayloadShape {
+  int values;
+  bool into_empty;
+};
+
+constexpr MergePayloadShape kMergeShapes[] = {{1000, false}, {50, true}};
+
+SketchStore MergeStore() {
+  SketchStoreOptions options;
+  options.sketch.relative_accuracy = kDDSketchAlpha;
+  options.sketch.max_num_buckets = kDDSketchMaxBuckets;
+  return std::move(SketchStore::Create(options)).value();
+}
+
+std::string MergePayload(int values, uint64_t seed) {
+  auto sketch = MakeDDSketch();
+  DataStream s(MakeDataset(DatasetId::kPareto), seed);
+  for (int i = 0; i < values; ++i) sketch.Add(s.Next());
+  return sketch.Serialize();
+}
+
+template <bool kDecodeOnce>
+void BM_MergePayload(benchmark::State& state) {
+  const MergePayloadShape shape = kMergeShapes[state.range(0)];
+  const SketchStore store = MergeStore();
+  const DDSketch prototype = MakeDDSketch();
+  const std::string payload = MergePayload(shape.values, 2);
+  DDSketch interval = std::move(
+      DDSketch::Deserialize(MergePayload(shape.values, 1))).value();
+  std::string frozen;
+  for (auto _ : state) {
+    if constexpr (kDecodeOnce) {
+      DDSketch::SerializedView view;
+      if (!store.CheckPayload(payload, &view).ok() ||
+          !store.CheckPayload(payload, &view).ok()) {
+        state.SkipWithError("payload refused");
+        return;
+      }
+      std::string built;
+      const std::string_view image = store.MergeImageOf(payload, view, &built);
+      if (shape.into_empty) {
+        frozen.assign(image);
+        benchmark::DoNotOptimize(frozen.data());
+        std::string().swap(frozen);  // an empty interval's string is new
+      } else {
+        interval.MergeEncoded(image);
+      }
+    } else {
+      auto checked = DDSketch::Deserialize(payload);
+      if (!checked.ok() || !store.CheckCompatible(checked.value()).ok()) {
+        state.SkipWithError("payload refused");
+        return;
+      }
+      auto decoded = DDSketch::Deserialize(payload);
+      if (shape.into_empty) {
+        DDSketch merged = prototype;
+        (void)merged.MergeFrom(decoded.value());
+        frozen = merged.Freeze();
+        benchmark::DoNotOptimize(frozen.data());
+        std::string().swap(frozen);
+      } else {
+        (void)interval.MergeFrom(decoded.value());
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::to_string(shape.values) + " values into " +
+                 (shape.into_empty ? "an empty" : "a dense") + " interval");
+}
+BENCHMARK_TEMPLATE(BM_MergePayload, false)
+    ->Name("BM_MergePayload/deserialize_twice")
+    ->Arg(0)
+    ->Arg(1);
+BENCHMARK_TEMPLATE(BM_MergePayload, true)
+    ->Name("BM_MergePayload/decode_once")
+    ->Arg(0)
+    ->Arg(1);
+
+// A snapshot of query_mixed's compacted history: 50 series, 6 h of 10 s
+// intervals of 50 Pareto values under the default ladder, so the last
+// hour stays raw (18,000 intervals) and the rest rolls up to 1 min
+// (15,000), ~6.7 MB. Recovery and a follower's resync decode it whole.
+void BM_SnapshotDecode(benchmark::State& state) {
+  SketchStore store = MergeStore();
+  constexpr int64_t kIntervals = 6 * 360;
+  DataStream s(MakeDataset(DatasetId::kPareto), 1);
+  std::vector<double> values(50);
+  for (int64_t i = 0; i < kIntervals; ++i) {
+    for (int series = 0; series < 50; ++series) {
+      for (double& v : values) v = s.Next();
+      if (!store.IngestValues("series" + std::to_string(series), 10 * i, values)
+               .ok()) {
+        state.SkipWithError("ingest failed");
+        return;
+      }
+    }
+  }
+  store.Compact(std::numeric_limits<int64_t>::max());
+  const std::string bytes = EncodeSnapshot(store, 1);
+  for (auto _ : state) {
+    auto decoded = DecodeSnapshot(bytes);
+    if (!decoded.ok()) {
+      state.SkipWithError("snapshot did not decode");
+      return;
+    }
+    benchmark::DoNotOptimize(decoded.value().store.num_intervals());
+  }
+  state.counters["intervals"] = static_cast<double>(store.num_intervals());
+  state.counters["bytes"] = static_cast<double>(bytes.size());
+}
+BENCHMARK(BM_SnapshotDecode)->Unit(benchmark::kMillisecond);
 
 // ---- Ingest path: checksum and frame decode -------------------------------
 

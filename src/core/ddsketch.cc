@@ -433,13 +433,20 @@ Status DDSketch::MergeFrom(const DDSketch& other) {
   }
   positive_->MergeFrom(*other.positive_);
   negative_->MergeFrom(*other.negative_);
-  zero_count_ += other.zero_count_;
-  rejected_count_ += other.rejected_count_;
-  clamped_count_ += other.clamped_count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  MergeSideStats(other.zero_count_, other.rejected_count_,
+                 other.clamped_count_, other.sum_, other.min_, other.max_);
   return Status::OK();
+}
+
+void DDSketch::MergeSideStats(uint64_t zero, uint64_t rejected,
+                              uint64_t clamped, double sum, double min,
+                              double max) noexcept {
+  zero_count_ += zero;
+  rejected_count_ += rejected;
+  clamped_count_ += clamped;
+  sum_ += sum;
+  min_ = std::min(min_, min);
+  max_ = std::max(max_, max);
 }
 
 size_t DDSketch::num_buckets() const noexcept {

@@ -191,8 +191,48 @@ class DDSketch {
   std::string Serialize() const;
 
   /// Decodes a payload produced by Serialize(). Fails with Corruption on
-  /// malformed input.
+  /// malformed input: exactly the payloads CheckSerialized refuses, which
+  /// it runs first.
   static Result<DDSketch> Deserialize(std::string_view payload);
+
+  /// What CheckSerialized learns from a payload it accepts.
+  struct SerializedView {
+    /// The payload's header: SerializedHeader() of the configuration it
+    /// declares.
+    std::string_view header;
+    /// The frozen image after the header.
+    std::string_view image;
+    /// The mapping the header declares, for a compatibility check that
+    /// builds nothing (IndexMapping::IsCompatibleWith).
+    MappingType mapping = MappingType::kLogarithmic;
+    double relative_accuracy = 0;
+    /// True when `image` is byte for byte what Freeze() writes after a
+    /// MergeFrom of this payload into an empty sketch of the declared
+    /// configuration: every varint is minimal, each bucket block ascends
+    /// over a span the declared store holds without collapsing (at most
+    /// kMaxUnboundedSpan buckets for an unbounded dense store), and
+    /// 0.0 + sum, min(+inf, min) and max(-inf, max) leave those fields'
+    /// bits as they are (a -0.0 sum or a NaN extremum does not). A store
+    /// of that configuration can then hold or MergeEncoded `image` as it
+    /// stands instead of decoding the payload.
+    bool canonical = false;
+    /// The widest block an unbounded dense store's image may span and
+    /// still be canonical, in buckets. Every read of a held image expands
+    /// each block into an array as wide as its span, so an image with two
+    /// far-apart buckets (0 and 2^31: a 12-byte payload, 16 GiB of counts)
+    /// is not held as bytes: like any other payload that is not
+    /// canonical, it is decoded on arrival, before anything is logged.
+    /// 2^16 buckets (512 KiB of counts) is wider than an alpha = 0.01
+    /// sketch of values from 1e-280 to 1e280.
+    static constexpr uint64_t kMaxUnboundedSpan = uint64_t{1} << 16;
+  };
+
+  /// Validates `payload` in one pass that allocates nothing and builds a
+  /// Status only on failure. Refuses exactly the payloads Deserialize
+  /// refuses, with the same status; on success fills *view (views into
+  /// `payload`).
+  static Status CheckSerialized(std::string_view payload,
+                                SerializedView* view);
 
   /// The header Serialize() writes first: magic, version, mapping, alpha,
   /// store type and size bound. Equal for every sketch of one
@@ -212,8 +252,8 @@ class DDSketch {
   /// one in ascending order (so a collapse lands where MergeFrom's would);
   /// then the counts, sum, min and max with MergeFrom's arithmetic.
   /// `frozen` must come from Freeze() of a sketch with a compatible
-  /// mapping (or from a payload Deserialize accepted): it is not
-  /// re-validated.
+  /// mapping, or be the image of a payload CheckSerialized accepted: it
+  /// is not re-validated.
   void MergeEncoded(std::string_view frozen);
 
  private:
@@ -229,6 +269,15 @@ class DDSketch {
   /// Must run whenever the owned mapping/stores are (re)created — the
   /// cached pointers alias them.
   void BindInsertPath() noexcept;
+
+  /// Adds another sketch's counts, sum, min and max into this one: the
+  /// arithmetic MergeFrom and MergeEncoded share. One out-of-line copy, so
+  /// that they also agree on which NaN a sum of two NaNs keeps: IEEE 754
+  /// leaves that to the operand order of the add instruction, which a
+  /// compiler picks at each place the add is inlined.
+  [[gnu::noinline]] void MergeSideStats(uint64_t zero, uint64_t rejected,
+                                        uint64_t clamped, double sum,
+                                        double min, double max) noexcept;
 
   /// The sealed batch insert loop, instantiated per mapping scheme so the
   /// index computation inlines with zero dispatch of any kind (AddBatch

@@ -62,6 +62,11 @@ IndexMapping::IndexMapping(MappingType type, double relative_accuracy,
       relative_accuracy_(relative_accuracy),
       gamma_(Gamma(relative_accuracy)) {}
 
+bool IndexMapping::IsCompatibleWith(MappingType type,
+                                    double relative_accuracy) const noexcept {
+  return this->type() == type && gamma_ == Gamma(relative_accuracy);
+}
+
 namespace {
 
 /// index = ceil(log_gamma(x)): the paper's memory-optimal mapping

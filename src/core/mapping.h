@@ -194,6 +194,12 @@ class IndexMapping {
     return type() == other.type() && gamma_ == other.gamma_;
   }
 
+  /// True iff Create(type, relative_accuracy) would produce identical
+  /// indices, checked without building it (a payload's header declares
+  /// both).
+  bool IsCompatibleWith(MappingType type,
+                        double relative_accuracy) const noexcept;
+
   /// Factory. Fails with InvalidArgument unless 0 < relative_accuracy < 1.
   static Result<std::unique_ptr<IndexMapping>> Create(
       MappingType type, double relative_accuracy);

@@ -1405,10 +1405,11 @@ void SketchServer::CheckpointStep() {
     if (Clock::now() < shard.checkpoint_backoff_until) continue;
     // Holding only this shard's store_mu: its committer waits, every
     // other shard keeps committing. A background checkpoint failure is
-    // not fail-stop — the WAL is untouched by a failed snapshot write,
-    // so ingest stays safe — but a full snapshot attempt every poll
-    // against a broken disk would burn CPU/IO silently, so failures
-    // back off and reach the operator's log.
+    // not fail-stop here — the WAL is untouched by a failed snapshot
+    // write, so ingest stays safe, and a failed WAL reset after it makes
+    // the store itself refuse every later write — but a full snapshot
+    // attempt every poll against a broken disk would burn CPU/IO
+    // silently, so failures back off and reach the operator's log.
     if (Status status = shard_store.Checkpoint(); status.ok()) {
       ++shard.background_checkpoints;
     } else {

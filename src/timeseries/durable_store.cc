@@ -45,19 +45,16 @@ Status CheckOptionsMatch(const SketchStoreOptions& snapshot,
   return Status::OK();
 }
 
-/// Recovery decodes and merges the WAL this many records at a time, so
-/// a large log never holds all of its decoded sketches at once.
+/// Recovery checks and merges the WAL this many records at a time, so
+/// a large log never holds all of its built merge images at once.
 constexpr size_t kReplaySliceRecords = 1024;
 
-/// Deserializes a sketch record's payload and checks that it merges
-/// into `store`.
-Result<DDSketch> DecodeSketchRecord(const SketchStore& store,
-                                    const WalRecord& record) {
+/// Checks a sketch record for a merge into `store`, building nothing:
+/// its timestamp, then its payload (SketchStore::CheckPayload).
+Status CheckSketchRecord(const SketchStore& store, const WalRecord& record,
+                         DDSketch::SerializedView* view) {
   DD_RETURN_IF_ERROR(SketchStore::CheckTimestamp(record.timestamp));
-  auto sketch = DDSketch::Deserialize(record.payload);
-  if (!sketch.ok()) return sketch.status();
-  DD_RETURN_IF_ERROR(store.CheckCompatible(sketch.value()));
-  return sketch;
+  return store.CheckPayload(record.payload, view);
 }
 
 /// Checks a raw-value record (type 2 or 3) for a merge: its timestamp
@@ -77,20 +74,40 @@ std::span<const double> ValuesOf(const WalRecord& record) {
   return {&record.value, 1};
 }
 
-/// The one decode: validates every record for a merge into `store`,
-/// deserializing each sketch payload once into *sketches (record order).
-/// Runs before anything reaches the log, so the WAL only ever holds
-/// records that replay cleanly.
+/// DecodeRecords' output: the frozen image each sketch record merges,
+/// in record order.
+struct MergeImages {
+  /// A view into the record's payload, or into `built`.
+  std::vector<std::string_view> images;
+  /// The images built for payloads that are not canonical for the store.
+  /// Reserved to the batch's size before the first one, so the views
+  /// into them stay valid.
+  std::vector<std::string> built;
+};
+
+/// The one decode: validates every record for a merge into `store` and
+/// finds each sketch record's image (SketchStore::MergeImageOf), so a
+/// canonical payload is walked once here and never decoded into a
+/// sketch. Runs before anything reaches the log, so the WAL only ever
+/// holds records that replay cleanly.
 Status DecodeRecords(const SketchStore& store,
                      std::span<const WalRecord> records,
-                     std::vector<DDSketch>* sketches) {
-  sketches->clear();
+                     MergeImages* out) {
+  out->images.clear();
+  out->built.clear();
   for (const WalRecord& record : records) {
     switch (record.type) {
       case WalRecord::Type::kIngestSketch: {
-        auto sketch = DecodeSketchRecord(store, record);
-        if (!sketch.ok()) return sketch.status();
-        sketches->push_back(std::move(sketch).value());
+        DDSketch::SerializedView view;
+        DD_RETURN_IF_ERROR(CheckSketchRecord(store, record, &view));
+        std::string built;
+        std::string_view image =
+            store.MergeImageOf(record.payload, view, &built);
+        if (!built.empty()) {
+          if (out->built.empty()) out->built.reserve(records.size());
+          image = out->built.emplace_back(std::move(built));
+        }
+        out->images.push_back(image);
         break;
       }
       case WalRecord::Type::kIngestValue:
@@ -105,7 +122,8 @@ Status DecodeRecords(const SketchStore& store,
 }
 
 /// The one merge, shared by the committer, the follower and recovery:
-/// `sketches` are DecodeRecords' output for `records`. Runs of
+/// `images` are DecodeRecords' output for `records`, each merged by
+/// SketchStore::IngestImage. Runs of
 /// consecutive value records (type 2 or 3) sharing a series and raw
 /// interval collapse into one IngestValues call — one interval lookup
 /// and one DDSketch::AddBatch pass instead of a lookup and an add per
@@ -114,14 +132,14 @@ Status DecodeRecords(const SketchStore& store,
 /// bit-identical however the values were cut into records and the
 /// records into batches.
 Status MergeRecords(SketchStore* store, std::span<const WalRecord> records,
-                    std::span<const DDSketch> sketches) {
+                    std::span<const std::string_view> images) {
   std::vector<double> run_values;
-  size_t next_sketch = 0;
+  size_t next_image = 0;
   for (size_t i = 0; i < records.size();) {
     const WalRecord& record = records[i];
     if (record.type == WalRecord::Type::kIngestSketch) {
-      DD_RETURN_IF_ERROR(store->IngestSketch(record.series, record.timestamp,
-                                             sketches[next_sketch++]));
+      DD_RETURN_IF_ERROR(store->IngestImage(record.series, record.timestamp,
+                                            images[next_image++]));
       ++i;
       continue;
     }
@@ -299,11 +317,11 @@ Result<DurableSketchStore> DurableSketchStore::Open(
           "WAL epoch does not match the snapshot (mixed data directories?)");
     }
     std::span<const WalRecord> rest(wal.records);
-    std::vector<DDSketch> sketches;
+    MergeImages images;
     while (!rest.empty()) {
       const auto slice = rest.first(std::min(rest.size(), kReplaySliceRecords));
-      DD_RETURN_IF_ERROR(DecodeRecords(store, slice, &sketches));
-      DD_RETURN_IF_ERROR(MergeRecords(&store, slice, sketches));
+      DD_RETURN_IF_ERROR(DecodeRecords(store, slice, &images));
+      DD_RETURN_IF_ERROR(MergeRecords(&store, slice, images.images));
       rest = rest.subspan(slice.size());
     }
     auto writer = WalWriter::OpenExisting(wal_path, wal.epoch, wal.valid_size);
@@ -338,8 +356,10 @@ Status DurableSketchStore::IngestValue(const std::string& series,
 
 Status DurableSketchStore::ValidateRecord(const WalRecord& record) const {
   switch (record.type) {
-    case WalRecord::Type::kIngestSketch:
-      return DecodeSketchRecord(store_, record).status();
+    case WalRecord::Type::kIngestSketch: {
+      DDSketch::SerializedView view;
+      return CheckSketchRecord(store_, record, &view);
+    }
     case WalRecord::Type::kIngestValue:
     case WalRecord::Type::kIngestValues:
       return CheckValueRecord(record);
@@ -356,8 +376,9 @@ Status DurableSketchStore::IngestBatch(const std::vector<WalRecord>& records) {
 
 Status DurableSketchStore::Commit(std::span<const WalRecord> records,
                                   std::string_view framed) {
-  std::vector<DDSketch> sketches;
-  DD_RETURN_IF_ERROR(DecodeRecords(store_, records, &sketches));
+  if (!wal_failure_.ok()) return wal_failure_;
+  MergeImages images;
+  DD_RETURN_IF_ERROR(DecodeRecords(store_, records, &images));
   const uint64_t start = wal_.offset();
   Status status = wal_.AppendRaw(framed);
   if (status.ok()) status = wal_.Sync();
@@ -375,7 +396,7 @@ Status DurableSketchStore::Commit(std::span<const WalRecord> records,
     }
     return status;
   }
-  return MergeRecords(&store_, records, sketches);
+  return MergeRecords(&store_, records, images.images);
 }
 
 Status DurableSketchStore::CheckpointUnguarded() {
@@ -388,12 +409,18 @@ Status DurableSketchStore::CheckpointUnguarded() {
   //  * replication — a follower crossing this epoch boundary runs its
   //    own CheckpointUnguarded with bit-identical raw state (it has
   //    replayed the full epoch), so it folds to bit-identical levels.
+  if (!wal_failure_.ok()) return wal_failure_;
   store_.Compact(std::numeric_limits<int64_t>::max());
   const uint64_t epoch = wal_.epoch();
   const uint64_t end_offset = wal_.offset();
   DD_RETURN_IF_ERROR(
       WriteSnapshotFile(store_, epoch, SnapshotPath(data_dir_)));
-  DD_RETURN_IF_ERROR(wal_.Reset(epoch + 1));
+  if (Status reset = wal_.Reset(epoch + 1); !reset.ok()) {
+    wal_failure_ = Status::Internal(
+        "WAL reset failed after the checkpoint's snapshot was written (" +
+        reset.message() + "); writes are refused until the store reopens");
+    return wal_failure_;
+  }
   prior_epoch_end_ = end_offset;
   return Status::OK();
 }

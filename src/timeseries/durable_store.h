@@ -89,11 +89,14 @@ class DurableSketchStore {
   Status IngestValue(const std::string& series, int64_t timestamp,
                      double value);
 
-  /// Validates an ingest record — decodes sketch payloads and checks
-  /// sketch-parameter compatibility — without touching the log or the
-  /// store. The staging half of group commit: callers (the network
-  /// server) reject bad requests on their own threads so an invalid
-  /// record can never poison a batch.
+  /// Validates an ingest record without touching the log or the store:
+  /// its timestamp, and for a sketch record one allocation-free walk
+  /// over the payload (SketchStore::CheckPayload: the checks Deserialize
+  /// makes, and sketch-parameter compatibility) that builds no sketch.
+  /// It reads only the store's configuration, so it needs no lock. The
+  /// staging half of group commit: callers (the network server) reject
+  /// bad requests on their own threads so an invalid record can never
+  /// poison a batch.
   Status ValidateRecord(const WalRecord& record) const;
 
   /// Group commit: appends every record to the WAL in one write, fsyncs
@@ -122,7 +125,9 @@ class DurableSketchStore {
   /// so aging happens exactly at epoch boundaries and nowhere else:
   /// crash recovery replays raw records onto the last folded snapshot,
   /// and a replication follower crossing the boundary folds its own
-  /// identical raw state to the identical ladder.
+  /// identical raw state to the identical ladder. A failed snapshot
+  /// write leaves the store as it was; a failed WAL reset after it
+  /// makes the store refuse every later write until it is reopened.
   Status Checkpoint();
 
   // --- Replication + fencing (server/replication.h, PROTOCOL.md v5) ---
@@ -280,8 +285,10 @@ class DurableSketchStore {
         wal_(std::move(wal)) {}
 
   /// The one guarded append behind every durable write: validates
-  /// `records` (decoding each sketch payload once), appends `framed` —
-  /// their encoded frames — in one write, fsyncs once, then merges. On
+  /// `records` (walking each sketch payload once, and taking its frozen
+  /// image to merge: the payload's own bytes when canonical, else built
+  /// once), appends `framed` — their encoded frames — in one write,
+  /// fsyncs once, then merges the images and values. On
   /// an append or fsync failure the log is truncated back to where it
   /// started. Takes no writability gate (the follower's apply uses it).
   Status Commit(std::span<const WalRecord> records, std::string_view framed);
@@ -302,6 +309,13 @@ class DurableSketchStore {
   /// The in-memory fence is newer than the LOCK file (its write failed).
   bool fence_pending_ = false;
   uint64_t prior_epoch_end_ = 0;
+  /// Sticky once a checkpoint's WAL reset fails after its snapshot was
+  /// written. The log is then the old epoch's, whose records recovery
+  /// discards as already in that snapshot, or a new one whose rename
+  /// may not be durable: a record logged to either could be lost. So
+  /// Commit and every checkpoint refuse with this status; reopening the
+  /// directory recovers every acknowledged write.
+  Status wal_failure_;
 };
 
 

@@ -15,6 +15,7 @@ SketchStore::SketchStore(const SketchStoreOptions& options,
                          DDSketch prototype)
     : options_(options),
       prototype_(std::move(prototype)),
+      header_(prototype_.SerializedHeader()),
       rollup_merges_(options_.levels.size(), 0) {}
 
 Status SketchStore::ValidateLevels(const std::vector<RollupLevel>& levels) {
@@ -84,9 +85,50 @@ SketchStore::Series& SketchStore::SeriesFor(const std::string& name) {
 
 Status SketchStore::Ingest(const std::string& series, int64_t timestamp,
                            std::string_view payload) {
-  auto decoded = DDSketch::Deserialize(payload);
-  if (!decoded.ok()) return decoded.status();
-  return IngestSketch(series, timestamp, decoded.value());
+  DDSketch::SerializedView view;
+  DD_RETURN_IF_ERROR(CheckPayload(payload, &view));
+  std::string built;
+  return IngestImage(series, timestamp, MergeImageOf(payload, view, &built));
+}
+
+Status SketchStore::CheckPayload(std::string_view payload,
+                                 DDSketch::SerializedView* view) const {
+  DD_RETURN_IF_ERROR(DDSketch::CheckSerialized(payload, view));
+  if (view->header != header_ &&
+      !prototype_.mapping().IsCompatibleWith(view->mapping,
+                                             view->relative_accuracy)) {
+    return Status::Incompatible(
+        "sketch parameters do not match the store's configuration");
+  }
+  return Status::OK();
+}
+
+std::string_view SketchStore::MergeImageOf(std::string_view payload,
+                                           const DDSketch::SerializedView& view,
+                                           std::string* built) const {
+  if (view.header == header_ && view.canonical) return view.image;
+  // CheckPayload accepted the payload, so it decodes and merges.
+  *built = MergedImage(DDSketch::Deserialize(payload).value());
+  return *built;
+}
+
+std::string SketchStore::MergedImage(const DDSketch& sketch) const {
+  DDSketch merged = prototype_;
+  (void)merged.MergeFrom(sketch);  // the callers check compatibility
+  return merged.Freeze();
+}
+
+Status SketchStore::IngestImage(const std::string& series, int64_t timestamp,
+                                std::string_view image) {
+  DD_RETURN_IF_ERROR(CheckTimestamp(timestamp));
+  Interval& interval = FindOrInsert(&SeriesFor(series).levels[0],
+                                    RawStart(timestamp));
+  if (interval.dense == nullptr && interval.frozen.empty()) {
+    interval.frozen.assign(image);
+  } else {
+    Thaw(interval).MergeEncoded(image);
+  }
+  return Status::OK();
 }
 
 SketchStore::Interval& SketchStore::FindOrInsert(std::vector<Interval>* tier,
@@ -105,14 +147,13 @@ SketchStore::Interval& SketchStore::FindOrInsert(std::vector<Interval>* tier,
 DDSketch& SketchStore::Thaw(Interval& interval) const {
   if (interval.dense == nullptr) {
     // The store's header plus frozen bytes is the sketch's Serialize(),
-    // which decodes to the sketch byte for byte (frozen bytes come only
-    // from Freeze(), so the decode cannot fail).
+    // which decodes to the sketch byte for byte (frozen bytes come from
+    // Freeze() or are a validated payload's canonical image, so the
+    // decode cannot fail).
     interval.dense = std::make_unique<DDSketch>(
         interval.frozen.empty()
             ? prototype_
-            : DDSketch::Deserialize(prototype_.SerializedHeader() +
-                                    interval.frozen)
-                  .value());
+            : DDSketch::Deserialize(header_ + interval.frozen).value());
     std::string().swap(interval.frozen);
   }
   return *interval.dense;
@@ -151,9 +192,7 @@ Status SketchStore::IngestSketch(const std::string& series, int64_t timestamp,
     // prototype exactly as a dense interval would be (so a payload's own
     // store type, bound, -0.0 sum or NaN min end up as they always
     // have), then frozen.
-    DDSketch merged = prototype_;
-    (void)merged.MergeFrom(sketch);  // compatibility checked above
-    interval.frozen = merged.Freeze();
+    interval.frozen = MergedImage(sketch);
     return Status::OK();
   }
   return Thaw(interval).MergeFrom(sketch);

@@ -29,13 +29,17 @@
 // copies it after the store's one header. An interval is dense only
 // while it takes writes: a raw value, or a MERGE into an interval that
 // already holds data, thaws it (Deserialize of the store's header plus
-// its frozen bytes); a MERGE into an empty interval is merged as a dense
-// interval would be and stored frozen; and Compact — so every
-// checkpoint — freezes every interval after its fold. The representation
-// never changes bytes or answers: MergeEncoded adds exactly what
-// MergeFrom of the thawed sketch would, and header plus Freeze() is
-// Serialize() byte for byte, so a primary, a reopened copy and a
-// follower that hold one interval in different forms still agree.
+// its frozen bytes), and Compact — so every checkpoint — freezes every
+// interval after its fold. A MERGE never decodes its payload into a
+// sketch. It merges a frozen image: the payload's own bytes after its
+// header when they are canonical for the store (MergeImageOf), else the
+// image a merge into an empty interval gives, built once. Into an empty
+// interval that image is copied as its frozen bytes; into one holding
+// data it is added with MergeEncoded. The representation never changes
+// bytes or answers: MergeEncoded adds exactly what MergeFrom of the
+// thawed sketch would, and header plus Freeze() is Serialize() byte for
+// byte, so a primary, a reopened copy and a follower that hold one
+// interval in different forms still agree.
 
 #ifndef DDSKETCH_TIMESERIES_SKETCH_STORE_H_
 #define DDSKETCH_TIMESERIES_SKETCH_STORE_H_
@@ -132,21 +136,50 @@ class SketchStore {
   /// durable store, before a record reaches the WAL.
   static Status CheckTimestamp(int64_t timestamp);
 
-  /// Merges a serialized worker sketch into `series` at `timestamp`.
-  /// Fails with Corruption on malformed payloads and Incompatible on
-  /// parameter mismatch.
+  /// Merges a serialized worker sketch into `series` at `timestamp`:
+  /// CheckPayload, then IngestImage of MergeImageOf. Fails with
+  /// Corruption on malformed payloads and Incompatible on parameter
+  /// mismatch, without modifying the store.
   Status Ingest(const std::string& series, int64_t timestamp,
                 std::string_view payload);
 
-  /// Merges an already-decoded worker sketch (the WAL replay path, which
-  /// decodes once while validating the record). Fails with Incompatible
-  /// on parameter mismatch, without modifying the store.
+  /// Merges an already-decoded worker sketch. Fails with Incompatible on
+  /// parameter mismatch, without modifying the store. Leaves the store
+  /// exactly as Ingest of the sketch's Serialize() would.
   Status IngestSketch(const std::string& series, int64_t timestamp,
                       const DDSketch& sketch);
 
   /// Whether `sketch` can be merged into this store's intervals (same
   /// mapping type and gamma as the configured prototype).
   Status CheckCompatible(const DDSketch& sketch) const;
+
+  /// Checks a serialized worker sketch for a merge, building nothing:
+  /// DDSketch::CheckSerialized (Corruption), then the mapping its header
+  /// declares against the store's (Incompatible). Reads only the store's
+  /// configuration, which never changes, so it may run beside writers.
+  Status CheckPayload(std::string_view payload,
+                      DDSketch::SerializedView* view) const;
+
+  /// The frozen image a MERGE of `payload` adds, for IngestImage: when
+  /// the payload carries the store's own header and a canonical image
+  /// (the common case), that image, a view into `payload`; otherwise,
+  /// built once into *built and returned, the image a merge of the
+  /// decoded payload into an empty interval stores (Deserialize, MergeFrom into an empty
+  /// sketch of the store's configuration, Freeze). That folds a
+  /// payload's own store type, size bound, -0.0 sum or NaN min into the
+  /// form a merge gives them. `view` is CheckPayload's for `payload`.
+  std::string_view MergeImageOf(std::string_view payload,
+                                const DDSketch::SerializedView& view,
+                                std::string* built) const;
+
+  /// Merges a MergeImageOf image into `series` at `timestamp`: into an
+  /// empty interval it is copied in as the interval's frozen bytes, into
+  /// a dense one added with MergeEncoded, and a frozen one is thawed
+  /// first. That leaves every interval as a MergeFrom of the decoded
+  /// payload would (FuzzMergePayloadTest). Fails with InvalidArgument on
+  /// an out-of-range timestamp. `image` is not re-validated.
+  Status IngestImage(const std::string& series, int64_t timestamp,
+                     std::string_view image);
 
   /// Convenience single-value ingestion (dashboards, tests).
   Status IngestValue(const std::string& series, int64_t timestamp,
@@ -262,6 +295,9 @@ class SketchStore {
   /// prototype) first.
   DDSketch& Thaw(Interval& interval) const;
   static void Freeze(Interval& interval);
+  /// Freeze() of `sketch` merged into an empty interval: the frozen
+  /// bytes a MERGE of it into one stores. `sketch` must be compatible.
+  std::string MergedImage(const DDSketch& sketch) const;
   /// Adds `interval`'s sketch into `out`, whichever form it is held in.
   static void MergeInto(const Interval& interval, DDSketch* out);
   static size_t HeldBytes(const Interval& interval);
@@ -273,6 +309,7 @@ class SketchStore {
 
   SketchStoreOptions options_;
   DDSketch prototype_;  // empty sketch with the configured parameters
+  std::string header_;  // prototype_.SerializedHeader()
   std::map<std::string, Series> series_;
   /// rollup_merges_[i]: sketches folded into level i (plus buckets
   /// dropped from a finite-retention last level). Runtime counters, not

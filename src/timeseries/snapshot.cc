@@ -31,7 +31,7 @@ class SketchStoreSnapshotCodec {
   static void EncodeBody(const SketchStore& store, uint64_t epoch,
                          std::string* out) {
     const SketchStoreOptions& options = store.options_;
-    const std::string header = store.prototype_.SerializedHeader();
+    const std::string& header = store.header_;
     size_t estimate = out->size() + 64;
     for (const auto& [name, series] : store.series_) {
       estimate += name.size() + 16;
@@ -157,7 +157,7 @@ class SketchStoreSnapshotCodec {
     }
     SketchStore store = std::move(store_result).value();
     const size_t n_levels = store.options_.levels.size();
-    const std::string header = store.prototype_.SerializedHeader();
+    const std::string& header = store.header_;
 
     uint64_t n_series = 0;
     DD_RETURN_IF_ERROR(in.GetVarint64(&n_series));
@@ -191,8 +191,12 @@ class SketchStoreSnapshotCodec {
   }
 
  private:
-  /// Decodes one tier's intervals, each validated in full (Deserialize,
-  /// then a header equal to the store's) before it is stored frozen.
+  /// Decodes one tier's intervals. Each is checked by DDSketch's
+  /// validating walk. One that carries the store's header and a
+  /// canonical image (every interval an encode writes) is held as that
+  /// image, byte for byte. Any other is decoded in full (Deserialize,
+  /// compatibility, then a header equal to the store's) and held as its
+  /// Freeze(), which keeps its odd fields (a -0.0 sum, say) as given.
   static Status DecodeTier(Slice* in, const SketchStore& store,
                            std::string_view header, int64_t width,
                            std::vector<SketchStore::Interval>* tier) {
@@ -216,18 +220,25 @@ class SketchStoreSnapshotCodec {
       }
       std::string_view payload;
       DD_RETURN_IF_ERROR(in->GetBytes(payload_len, &payload));
-      auto sketch = DDSketch::Deserialize(payload);
-      if (!sketch.ok()) return sketch.status();
-      DD_RETURN_IF_ERROR(store.CheckCompatible(sketch.value()));
-      if (payload.substr(0, header.size()) != header) {
-        return Status::Corruption(
-            "snapshot: interval sketch parameters differ from the store's");
+      DDSketch::SerializedView view;
+      DD_RETURN_IF_ERROR(DDSketch::CheckSerialized(payload, &view));
+      std::string frozen;
+      if (view.header == header && view.canonical) {
+        frozen.assign(view.image);
+      } else {
+        const DDSketch sketch = DDSketch::Deserialize(payload).value();
+        DD_RETURN_IF_ERROR(store.CheckCompatible(sketch));
+        if (view.header != header) {
+          return Status::Corruption(
+              "snapshot: interval sketch parameters differ from the store's");
+        }
+        frozen = sketch.Freeze();
       }
       SketchStore::Interval& interval = SketchStore::FindOrInsert(tier, start);
       if (!interval.frozen.empty()) {
         return Status::Corruption("snapshot: duplicate interval start");
       }
-      interval.frozen = sketch.value().Freeze();
+      interval.frozen = std::move(frozen);
     }
     return Status::OK();
   }

@@ -1,6 +1,8 @@
 #include "timeseries/wal.h"
 
 #include <cstring>
+#include <system_error>
+#include <utility>
 
 #include "util/crc32.h"
 #include "util/frame.h"
@@ -245,14 +247,43 @@ Status WalWriter::TruncateTo(uint64_t offset) {
   return file_.Truncate(offset);
 }
 
+WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
+  if (this != &other) {
+    if (closer_.joinable()) closer_.join();
+    file_ = std::move(other.file_);
+    epoch_ = other.epoch_;
+    closer_ = std::move(other.closer_);
+  }
+  return *this;
+}
+
+WalWriter::~WalWriter() {
+  if (closer_.joinable()) closer_.join();
+}
+
 Status WalWriter::Reset(uint64_t epoch) {
   DD_RETURN_IF_ERROR(CheckEpochRange(epoch));
-  DD_RETURN_IF_ERROR(file_.Truncate(0));
+  const std::string path = file_.path();
+  const std::string next = path + ".next";
+  DD_RETURN_IF_ERROR(RemoveFileIfExists(next));
+  auto created = AppendOnlyFile::Open(next);
+  if (!created.ok()) return created.status();
+  AppendOnlyFile file = std::move(created).value();
   DD_RETURN_IF_ERROR(
-      file_.Append(EncodeWalHeader(static_cast<uint32_t>(epoch))));
-  DD_RETURN_IF_ERROR(file_.Sync());
+      file.Append(EncodeWalHeader(static_cast<uint32_t>(epoch))));
+  DD_RETURN_IF_ERROR(file.Sync());
+  DD_RETURN_IF_ERROR(file.RenameTo(path));
+  // `path` names the new log now: follow it before anything can fail.
+  std::swap(file_, file);
   epoch_ = epoch;
-  return Status::OK();
+  const Status synced = SyncParentDir(path);
+  if (closer_.joinable()) closer_.join();
+  try {
+    closer_ = std::thread([](AppendOnlyFile) {}, std::move(file));
+  } catch (const std::system_error&) {
+    // No thread to spare: the old log was closed here instead.
+  }
+  return synced;
 }
 
 }  // namespace dd

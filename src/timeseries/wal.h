@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "util/file_io.h"
@@ -135,6 +136,11 @@ class WalWriter {
   static Result<WalWriter> OpenExisting(const std::string& path,
                                         uint64_t epoch, uint64_t size);
 
+  WalWriter(WalWriter&& other) noexcept = default;
+  /// Waits for this writer's pending close (see Reset) first.
+  WalWriter& operator=(WalWriter&& other) noexcept;
+  ~WalWriter();
+
   Status Append(const WalRecord& record);
 
   /// Appends already-framed record bytes verbatim, in one write (a group
@@ -147,6 +153,14 @@ class WalWriter {
   Status Sync();
 
   /// Empties the log and starts generation `epoch` (post-checkpoint).
+  /// The new epoch's header is written and fsynced as `<path>.next`,
+  /// which is renamed over the log, so a crash leaves one whole log or
+  /// the other; a stale `<path>.next` is replaced. Once the rename is
+  /// made the writer appends to the new log, even if the directory
+  /// fsync after it fails. The old log is closed on a thread of its
+  /// own: closing frees the pages of every record of its epoch, which
+  /// grows with the ingest rate and would otherwise hold up the
+  /// checkpoint.
   Status Reset(uint64_t epoch);
 
   /// Truncates back to `offset` (a record boundary captured from
@@ -167,6 +181,7 @@ class WalWriter {
 
   AppendOnlyFile file_;
   uint64_t epoch_;
+  std::thread closer_;  // closes the log the last Reset replaced
 };
 
 }  // namespace dd

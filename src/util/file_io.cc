@@ -26,19 +26,6 @@ std::string Errno(const std::string& op, const std::string& path) {
   return op + " " + path + ": " + std::strerror(errno);
 }
 
-/// Opens the parent directory of `path` and fsyncs it, making a rename or
-/// create in that directory durable.
-Status SyncParentDir(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return Status::Internal(Errno("open dir", dir));
-  const int rc = CountedFsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::Internal(Errno("fsync dir", dir));
-  return Status::OK();
-}
-
 Status WriteAll(int fd, std::string_view data, const std::string& path) {
   while (!data.empty()) {
     const ssize_t n = ::write(fd, data.data(), data.size());
@@ -52,6 +39,17 @@ Status WriteAll(int fd, std::string_view data, const std::string& path) {
 }
 
 }  // namespace
+
+Status SyncParentDir(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return Status::Internal(Errno("open dir", dir));
+  const int rc = CountedFsync(fd);
+  ::close(fd);
+  if (rc != 0) return Status::Internal(Errno("fsync dir", dir));
+  return Status::OK();
+}
 
 uint64_t TotalFsyncCount() {
   return g_fsync_count.load(std::memory_order_relaxed);
@@ -228,6 +226,14 @@ Status AppendOnlyFile::Append(std::string_view data) {
 
 Status AppendOnlyFile::Sync() {
   if (CountedFsync(fd_) != 0) return Status::Internal(Errno("fsync", path_));
+  return Status::OK();
+}
+
+Status AppendOnlyFile::RenameTo(const std::string& path) {
+  if (::rename(path_.c_str(), path.c_str()) != 0) {
+    return Status::Internal(Errno("rename", path));
+  }
+  path_ = path;
   return Status::OK();
 }
 

@@ -44,6 +44,10 @@ Status WriteFileAtomic(const std::string& path, std::string_view contents);
 /// Removes a file; OK when it does not exist.
 Status RemoveFileIfExists(const std::string& path);
 
+/// fsyncs the directory that holds `path`, so that a file created or
+/// renamed there survives power loss.
+Status SyncParentDir(const std::string& path);
+
 /// An exclusive advisory lock on a lock file (flock), serializing access
 /// to a data directory across processes. Released on destruction.
 ///
@@ -98,8 +102,13 @@ class AppendOnlyFile {
   Status Sync();
 
   /// Truncates the file to `size` and repositions the append cursor. Used
-  /// when resetting the WAL after a checkpoint.
+  /// to cut a torn tail or a failed append off the WAL.
   Status Truncate(uint64_t size);
+
+  /// Renames the file to `path`, replacing any file there; the handle
+  /// keeps its descriptor and offset and from then on names `path`. The
+  /// rename is durable only once the caller has run SyncParentDir.
+  Status RenameTo(const std::string& path);
 
   /// Bytes in the file (append offset).
   uint64_t size() const noexcept { return size_; }

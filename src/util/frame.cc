@@ -1,5 +1,8 @@
 #include "util/frame.h"
 
+#include <bit>
+#include <cstring>
+
 #include "util/crc32.h"
 #include "util/varint.h"
 
@@ -17,14 +20,16 @@ std::string EncodeFrame(std::string_view body) {
 Result<std::string_view> DecodeFrame(std::string_view buffer,
                                      size_t* frame_size) {
   *frame_size = 0;
-  Slice in(buffer);
+  // Read with ConsumeVarint64 and one fixed32 load: the frame is split
+  // without building a Status unless it is refused.
+  std::string_view rest = buffer;
   uint64_t body_len = 0;
-  if (!in.GetVarint64(&body_len).ok()) {
-    // GetVarint64 fails both on truncation (need more bytes) and on a
-    // malformed varint (> kMaxVarintBytes or 64-bit overflow). With a
-    // full varint's worth of bytes available the length can never
-    // become parseable. A socket reader would buffer garbage forever,
-    // and WAL recovery would truncate the acked records behind it.
+  if (!ConsumeVarint64(&rest, &body_len)) {
+    // The varint fails both on truncation (need more bytes) and when it
+    // is malformed (> kMaxVarintBytes or 64-bit overflow). With a full
+    // varint's worth of bytes available the length can never become
+    // parseable. A socket reader would buffer garbage forever, and WAL
+    // recovery would truncate the acked records behind it.
     if (buffer.size() >= static_cast<size_t>(kMaxVarintBytes)) {
       return Status::Corruption("malformed frame length");
     }
@@ -33,12 +38,16 @@ Result<std::string_view> DecodeFrame(std::string_view buffer,
   if (body_len > kMaxFrameBytes) {
     return Status::Corruption("frame length implausibly large");
   }
-  *frame_size = buffer.size() - in.remaining() + sizeof(uint32_t) + body_len;
-  uint32_t crc = 0;
-  std::string_view body;
-  if (!in.GetFixed32(&crc).ok() || !in.GetBytes(body_len, &body).ok()) {
+  *frame_size = buffer.size() - rest.size() + sizeof(uint32_t) + body_len;
+  if (rest.size() < sizeof(uint32_t) + body_len) {
     return Status::OutOfRange("incomplete frame");
   }
+  uint32_t crc = 0;
+  std::memcpy(&crc, rest.data(), sizeof(crc));
+  if constexpr (std::endian::native == std::endian::big) {
+    crc = __builtin_bswap32(crc);  // the field is little-endian
+  }
+  const std::string_view body = rest.substr(sizeof(uint32_t), body_len);
   if (crc != Crc32c(body)) {
     return Status::Corruption("frame checksum mismatch");
   }

@@ -21,7 +21,9 @@
 #include <string>
 #include <vector>
 
+#include <fcntl.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include "core/ddsketch.h"
 #include "timeseries/snapshot.h"
@@ -105,6 +107,25 @@ class DurabilityTest : public ::testing::Test {
     return status;
   }
 
+  /// Runs `write` with one file descriptor to spare: the descriptor
+  /// limit is set just past the lowest free descriptor, so one open
+  /// succeeds and a second one while it is held fails with EMFILE. The
+  /// limit is restored right after the call.
+  template <typename Write>
+  static Status WithOneSpareDescriptor(Write write) {
+    const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    EXPECT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    struct rlimit saved;
+    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    struct rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
+    const Status status = write();
+    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    return status;
+  }
+
   /// WithFileSizeCap a few bytes into the WAL's next record.
   template <typename Write>
   static Status WithWalCapped(const std::string& dir, Write write) {
@@ -180,6 +201,38 @@ class DurabilityTest : public ::testing::Test {
       }
     }
     return out;
+  }
+
+  /// Sketch records whose payloads are not canonical for the store, so
+  /// each route to a state builds their merge images itself: another
+  /// store type, a -0.0 sum and an over-long varint, each into an empty
+  /// interval and into one that holds data.
+  static std::vector<WalRecord> OddPayloads() {
+    DDSketchConfig unbounded;
+    unbounded.store = StoreType::kUnboundedDense;
+    auto other = std::move(DDSketch::Create(unbounded)).value();
+    for (int i = 1; i <= 9; ++i) other.Add(0.37 * i * i);
+    const DDSketch worker =
+        std::move(DDSketch::Deserialize(WorkerPayload(7))).value();
+    const std::string header = worker.SerializedHeader();
+    const std::string image = worker.Freeze();
+    // The worker's three counts are zero, one byte each; the sum follows.
+    std::string negative_zero_sum = header + image.substr(0, 3);
+    PutFixedDouble(&negative_zero_sum, -0.0);
+    negative_zero_sum += image.substr(3 + sizeof(double));
+    const std::string over_long = header + '\x80' + image;
+    std::vector<WalRecord> records;
+    for (const std::string& payload :
+         {other.Serialize(), negative_zero_sum, over_long}) {
+      for (const int64_t timestamp : {5, 45}) {
+        WalRecord& record = records.emplace_back();
+        record.type = WalRecord::Type::kIngestSketch;
+        record.series = "api.latency";
+        record.timestamp = timestamp;
+        record.payload = payload;
+      }
+    }
+    return records;
   }
 
   static DurableSketchStoreOptions FollowerOptions() {
@@ -448,6 +501,81 @@ TEST_F(DurabilityTest, InterruptedCheckpointIsNotDoubleApplied) {
   EXPECT_EQ(std::move(reopened.QueryRange("s", 0, 200)).value().count(), 20u);
   // The interrupted checkpoint was finished: the log is on the next epoch.
   EXPECT_EQ(reopened.epoch(), 2u);
+}
+
+TEST_F(DurabilityTest, StaleNextWalIsIgnoredAndReplacedByTheNextReset) {
+  // A crash inside a WAL reset can leave `wal.log.next`, the new epoch's
+  // log before its rename. Opening ignores it; the next reset writes
+  // its own in its place and renames it over the log.
+  const std::string dir = Dir("stale_next");
+  const std::string next = DurableSketchStore::WalPath(dir) + ".next";
+  std::string fp;
+  {
+    DurableSketchStore store = MustOpen(dir);
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(store.IngestValue("s", i * 10, 1.0 + i).ok());
+    }
+    fp = Fingerprint(store.store());
+  }
+  WriteFile(next, "not a log");
+  {
+    DurableSketchStore store = MustOpen(dir);
+    EXPECT_EQ(Fingerprint(store.store()), fp);
+    ASSERT_TRUE(store.Checkpoint().ok());
+    EXPECT_FALSE(fs::exists(next));
+    ASSERT_TRUE(store.IngestValue("s", 500, 7.0).ok());
+    fp = Fingerprint(store.store());
+  }
+  DurableSketchStore reopened = MustOpen(dir);
+  EXPECT_EQ(reopened.epoch(), 2u);
+  EXPECT_EQ(Fingerprint(reopened.store()), fp);
+}
+
+TEST_F(DurabilityTest, FailedWalResetRefusesWritesUntilReopened) {
+  // A checkpoint resets the WAL after its snapshot is written, so after
+  // a failed reset the log must take no more records: before the
+  // rename it is the old epoch's, whose records recovery discards as
+  // already in the snapshot; after it, the rename may not be durable.
+  // The store refuses every later write, and a reopen recovers every
+  // acknowledged one. Two steps fail here: removing a stale
+  // `wal.log.next` (a directory stands in its place), and the directory
+  // fsync after the rename (no descriptor is left to open the
+  // directory with).
+  for (const bool after_rename : {false, true}) {
+    SCOPED_TRACE(after_rename ? "after the rename" : "before the rename");
+    const std::string dir = Dir(after_rename ? "after" : "before");
+    const std::string next = DurableSketchStore::WalPath(dir) + ".next";
+    std::string fp;
+    {
+      DurableSketchStore store = MustOpen(dir);
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(store.IngestValue("s", i * 10, 1.0 + i).ok());
+      }
+      fp = Fingerprint(store.store());
+      Status checkpoint;
+      if (after_rename) {
+        checkpoint = WithOneSpareDescriptor([&] { return store.Checkpoint(); });
+      } else {
+        fs::create_directories(fs::path(next) / "entry");
+        checkpoint = store.Checkpoint();
+      }
+      EXPECT_EQ(checkpoint.code(), StatusCode::kInternal)
+          << checkpoint.ToString();
+      // The writer follows the log the directory names.
+      EXPECT_EQ(store.epoch(), after_rename ? 2u : 1u);
+      EXPECT_EQ(store.IngestValue("s", 500, 7.0).code(),
+                StatusCode::kInternal);
+      EXPECT_EQ(store.Ingest("s", 500, WorkerPayload(1)).code(),
+                StatusCode::kInternal);
+      EXPECT_EQ(store.Checkpoint().code(), StatusCode::kInternal);
+      EXPECT_EQ(Fingerprint(store.store()), fp);
+    }
+    fs::remove_all(next);
+    DurableSketchStore reopened = MustOpen(dir);
+    EXPECT_EQ(Fingerprint(reopened.store()), fp);
+    ASSERT_TRUE(reopened.IngestValue("s", 500, 7.0).ok());
+    ASSERT_TRUE(reopened.Checkpoint().ok());
+  }
 }
 
 TEST_F(DurabilityTest, InterruptedRollupCheckpointRecoversEitherSide) {
@@ -1050,8 +1178,9 @@ TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {
   // Full mergeability makes the three routes to a store's state — the
   // live group commit, WAL replay on reopen, and a follower applying
   // the shipped bytes — agree exactly, down to the serialized sum. The
-  // log holds single-value records and pipelined windows' units, and
-  // the state is also the one the same values give one record each.
+  // log holds single-value records, pipelined windows' units, and MERGE
+  // payloads each route must canonicalize (OddPayloads), and the state
+  // is also the one the same values give one record each.
   const std::string dir = Dir("identity");
   const std::string follower_dir = Dir("identity_follower");
   std::string live;
@@ -1060,6 +1189,7 @@ TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {
     DurableSketchStore primary = MustOpen(dir);
     ASSERT_TRUE(primary.IngestBatch(FractionalBatch()).ok());
     ASSERT_TRUE(primary.IngestBatch(PipelinedWindows()).ok());
+    ASSERT_TRUE(primary.IngestBatch(OddPayloads()).ok());
     live = SnapshotBytes(primary);
     auto segment = primary.ReadWalChunk(kWalHeaderBytes, 1 << 20);
     ASSERT_TRUE(segment.ok()) << segment.status().ToString();
@@ -1078,6 +1208,7 @@ TEST_F(DurabilityTest, LiveReopenedAndFollowerStatesAreByteIdentical) {
   ASSERT_TRUE(value_by_value.IngestBatch(FractionalBatch()).ok());
   ASSERT_TRUE(
       value_by_value.IngestBatch(OneValuePerRecord(PipelinedWindows())).ok());
+  ASSERT_TRUE(value_by_value.IngestBatch(OddPayloads()).ok());
   EXPECT_EQ(SnapshotBytes(value_by_value), live);
 }
 

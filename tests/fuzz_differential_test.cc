@@ -10,17 +10,23 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/ddsketch.h"
 #include "data/ground_truth.h"
 #include "server/protocol.h"
+#include "timeseries/sketch_store.h"
 #include "timeseries/snapshot.h"
 #include "timeseries/wal.h"
+#include "util/crc32.h"
+#include "util/frame.h"
 #include "util/rng.h"
 #include "util/varint.h"
 
@@ -96,6 +102,34 @@ void CheckAgainstModel(const DDSketch& sketch, const ReferenceModel& model) {
     ASSERT_LE(RelativeError(estimate, actual), kAlpha * (1 + 1e-9))
         << "q=" << q << " n=" << model.size();
   }
+}
+
+std::string HexBytes(std::string_view bytes) {
+  std::string out;
+  char buf[3];
+  for (const char c : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", static_cast<uint8_t>(c));
+    out += buf;
+  }
+  return out;
+}
+
+/// `value` as a LEB128 varint of exactly `width` bytes, at least its
+/// minimal width: zero groups with the continuation bit pad it out.
+std::string PaddedVarint(uint64_t value, int width) {
+  std::string out;
+  for (int i = 0; i < width; ++i) {
+    uint8_t group = 7 * i < 64 ? (value >> (7 * i)) & 0x7f : 0;
+    if (i + 1 < width) group |= 0x80;
+    out.push_back(static_cast<char>(group));
+  }
+  return out;
+}
+
+int VarintWidth(uint64_t value) {
+  std::string encoded;
+  PutVarint64(&encoded, value);
+  return static_cast<int>(encoded.size());
 }
 
 class FuzzDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -431,6 +465,507 @@ TEST_P(FuzzFrozenImageTest, MergeEncodedMatchesMergeFrom) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzFrozenImageTest,
                          ::testing::Range<uint64_t>(1, 17));
+
+// ---------------------------------------------------------------------
+// The MERGE path. A store walks a MERGE payload once
+// (DDSketch::CheckSerialized), takes the payload's own image when it is
+// canonical for the store and builds the image of any other payload
+// once (MergeImageOf), then adds it (IngestImage): copied into an empty
+// interval, MergeEncoded into a dense one, and into a frozen one after a
+// thaw. A store fed that way must equal, byte for byte, a reference fed
+// by Deserialize + IngestSketch, for payloads of every shape a peer may
+// send. And the walk must refuse exactly what the decoder before it
+// refused. That decoder is kept below as the oracle: the payload read
+// through Slice field by field, each bucket added in payload order.
+
+/// What the oracle decoded.
+struct OracleSketch {
+  DDSketchConfig config;
+  uint64_t zero = 0, rejected = 0, clamped = 0;
+  double sum = 0, min = 0, max = 0;
+  std::unique_ptr<Store> positive, negative;
+};
+
+Status OracleDecodeStore(Slice* in, Store* store) {
+  uint64_t n_entries = 0;
+  DD_RETURN_IF_ERROR(in->GetVarint64(&n_entries));
+  int64_t index = 0;
+  for (uint64_t i = 0; i < n_entries; ++i) {
+    if (i == 0) {
+      DD_RETURN_IF_ERROR(in->GetVarintSigned64(&index));
+    } else {
+      uint64_t delta = 0;
+      DD_RETURN_IF_ERROR(in->GetVarint64(&delta));
+      if (delta == 0) return Status::Corruption("non-ascending store entry");
+      // `index += static_cast<int64_t>(delta)`, added modulo 2^64: the
+      // same index wherever that signed add is defined.
+      index = static_cast<int64_t>(static_cast<uint64_t>(index) + delta);
+    }
+    if (index < INT32_MIN || index > INT32_MAX) {
+      return Status::Corruption("store index out of int32 range");
+    }
+    uint64_t count = 0;
+    DD_RETURN_IF_ERROR(in->GetVarint64(&count));
+    if (count == 0) return Status::Corruption("zero-count store entry");
+    if (store != nullptr) store->Add(static_cast<int32_t>(index), count);
+  }
+  return Status::OK();
+}
+
+/// The oracle; decodes into *out unless it is null (a check only, which
+/// allocates no stores: flipped bits may declare huge spans).
+Status OracleDecode(std::string_view payload, OracleSketch* out) {
+  Slice in(payload);
+  std::string_view magic;
+  DD_RETURN_IF_ERROR(in.GetBytes(4, &magic));
+  if (magic != "DDSK") {
+    return Status::Corruption("bad magic; not a DDSketch payload");
+  }
+  std::string_view header;
+  DD_RETURN_IF_ERROR(in.GetBytes(2, &header));
+  if (static_cast<uint8_t>(header[0]) != 1) {
+    return Status::Corruption("unsupported DDSketch version");
+  }
+  const uint8_t mapping_tag = static_cast<uint8_t>(header[1]);
+  if (mapping_tag > static_cast<uint8_t>(MappingType::kCubicInterpolated)) {
+    return Status::Corruption("unknown mapping type tag");
+  }
+  double alpha = 0;
+  DD_RETURN_IF_ERROR(in.GetFixedDouble(&alpha));
+  if (!(alpha > 0.0) || !(alpha < 1.0)) {
+    return Status::Corruption("relative accuracy out of (0, 1)");
+  }
+  std::string_view store_tag_bytes;
+  DD_RETURN_IF_ERROR(in.GetBytes(1, &store_tag_bytes));
+  const uint8_t store_tag = static_cast<uint8_t>(store_tag_bytes[0]);
+  if (store_tag > static_cast<uint8_t>(StoreType::kSparse)) {
+    return Status::Corruption("unknown store type tag");
+  }
+  uint64_t max_buckets = 0;
+  DD_RETURN_IF_ERROR(in.GetVarint64(&max_buckets));
+  if (max_buckets > INT32_MAX) {
+    return Status::Corruption("max_num_buckets out of range");
+  }
+  OracleSketch local;
+  OracleSketch& sketch = out != nullptr ? *out : local;
+  sketch.config.relative_accuracy = alpha;
+  sketch.config.mapping = static_cast<MappingType>(mapping_tag);
+  sketch.config.store = static_cast<StoreType>(store_tag);
+  sketch.config.max_num_buckets = static_cast<int32_t>(max_buckets);
+  auto created = DDSketch::Create(sketch.config);
+  if (!created.ok()) {
+    return Status::Corruption("invalid sketch parameters: " +
+                              created.status().message());
+  }
+  if (out != nullptr) {
+    out->positive = std::move(Store::Create(sketch.config.store,
+                                            sketch.config.max_num_buckets))
+                        .value();
+    out->negative =
+        std::move(Store::Create(created.value().negative_store().type(),
+                                sketch.config.max_num_buckets))
+            .value();
+  }
+  DD_RETURN_IF_ERROR(in.GetVarint64(&sketch.zero));
+  DD_RETURN_IF_ERROR(in.GetVarint64(&sketch.rejected));
+  DD_RETURN_IF_ERROR(in.GetVarint64(&sketch.clamped));
+  DD_RETURN_IF_ERROR(in.GetFixedDouble(&sketch.sum));
+  DD_RETURN_IF_ERROR(in.GetFixedDouble(&sketch.min));
+  DD_RETURN_IF_ERROR(in.GetFixedDouble(&sketch.max));
+  DD_RETURN_IF_ERROR(
+      OracleDecodeStore(&in, out != nullptr ? out->positive.get() : nullptr));
+  DD_RETURN_IF_ERROR(
+      OracleDecodeStore(&in, out != nullptr ? out->negative.get() : nullptr));
+  if (!in.empty()) {
+    return Status::Corruption("trailing bytes after sketch payload");
+  }
+  return Status::OK();
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+std::vector<std::pair<int32_t, uint64_t>> BucketList(const Store& store) {
+  std::vector<std::pair<int32_t, uint64_t>> buckets;
+  store.ForEach([&](int32_t index, uint64_t count) {
+    buckets.emplace_back(index, count);
+  });
+  return buckets;
+}
+
+/// Deserialize decodes `payload` to what the oracle decodes, field by
+/// field and bit for bit, or refuses it with the oracle's status.
+void ExpectDeserializeMatchesOracle(std::string_view payload) {
+  OracleSketch want;
+  const Status oracle = OracleDecode(payload, &want);
+  auto got = DDSketch::Deserialize(payload);
+  ASSERT_EQ(got.status(), oracle) << HexBytes(payload);
+  if (!oracle.ok()) return;
+  const DDSketch& sketch = got.value();
+  EXPECT_EQ(sketch.mapping().type(), want.config.mapping);
+  EXPECT_EQ(Bits(sketch.relative_accuracy()),
+            Bits(want.config.relative_accuracy));
+  EXPECT_EQ(sketch.positive_store().type(), want.positive->type());
+  EXPECT_EQ(sketch.negative_store().type(), want.negative->type());
+  EXPECT_EQ(sketch.positive_store().max_num_buckets(),
+            want.positive->max_num_buckets());
+  EXPECT_EQ(sketch.zero_count(), want.zero);
+  EXPECT_EQ(sketch.rejected_count(), want.rejected);
+  EXPECT_EQ(sketch.clamped_count(), want.clamped);
+  EXPECT_EQ(Bits(sketch.sum()), Bits(want.sum));
+  EXPECT_EQ(Bits(sketch.min()), Bits(want.min));
+  EXPECT_EQ(Bits(sketch.max()), Bits(want.max));
+  EXPECT_EQ(BucketList(sketch.positive_store()), BucketList(*want.positive));
+  EXPECT_EQ(BucketList(sketch.negative_store()), BucketList(*want.negative));
+  EXPECT_EQ(sketch.positive_store().total_count(),
+            want.positive->total_count());
+  EXPECT_EQ(sketch.negative_store().total_count(),
+            want.negative->total_count());
+}
+
+/// The image a MERGE of `payload` into an empty interval of the store's
+/// configuration stores: Freeze() of the decoded payload merged into an
+/// empty sketch.
+std::string MergedImage(std::string_view payload) {
+  DDSketch merged = EmptyAccumulator();
+  EXPECT_TRUE(
+      merged.MergeFrom(DDSketch::Deserialize(payload).value()).ok());
+  return merged.Freeze();
+}
+
+/// The walk and the oracle agree on `payload`: the same verdict and
+/// status. When the walk accepts a payload with the store's header and
+/// calls its image canonical, the image is MergedImage's. With `both_ways`
+/// the converse is checked too: a payload whose image is MergedImage's
+/// is called canonical. That decodes payloads that are not canonical, so
+/// it is left out for flipped bits, which may declare buckets billions
+/// of indices apart (a dense store allocates across the gap).
+void ExpectWalkMatchesOracle(std::string_view payload, bool both_ways) {
+  DDSketch::SerializedView view;
+  const Status walked = DDSketch::CheckSerialized(payload, &view);
+  ASSERT_EQ(walked, OracleDecode(payload, nullptr)) << HexBytes(payload);
+  if (!walked.ok()) return;
+  EXPECT_EQ(std::string(view.header) + std::string(view.image), payload);
+  if (view.header == EmptyAccumulator().SerializedHeader() &&
+      (view.canonical || both_ways)) {
+    EXPECT_EQ(view.canonical, view.image == MergedImage(payload))
+        << HexBytes(payload);
+  }
+}
+
+/// The fields of a hand-made frozen image. Bucket lists are in payload
+/// order; an index below its predecessor is encoded as the delta that
+/// wraps modulo 2^64 (a block that does not ascend).
+struct ImageFields {
+  uint64_t zero = 0, rejected = 0, clamped = 0;
+  double sum = 0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  std::vector<std::pair<int64_t, uint64_t>> positive, negative;
+};
+
+/// Which varint of an image EncodeImage writes two bytes longer than it
+/// must.
+enum class Pad { kNone, kZeroCount, kFirstIndex, kCount, kDelta };
+
+std::string EncodeImage(const ImageFields& f, Pad pad = Pad::kNone) {
+  std::string out;
+  const auto varint = [&out](uint64_t value, bool padded) {
+    out += PaddedVarint(value, VarintWidth(value) + (padded ? 2 : 0));
+  };
+  varint(f.zero, pad == Pad::kZeroCount);
+  varint(f.rejected, false);
+  varint(f.clamped, false);
+  PutFixedDouble(&out, f.sum);
+  PutFixedDouble(&out, f.min);
+  PutFixedDouble(&out, f.max);
+  for (const auto* block : {&f.positive, &f.negative}) {
+    varint(block->size(), false);
+    for (size_t i = 0; i < block->size(); ++i) {
+      const auto [index, count] = (*block)[i];
+      if (i == 0) {
+        varint(ZigZagEncode(index), pad == Pad::kFirstIndex);
+      } else {
+        varint(static_cast<uint64_t>(index) -
+                   static_cast<uint64_t>((*block)[i - 1].first),
+               pad == Pad::kDelta && i == 1);
+      }
+      varint(count, pad == Pad::kCount && i == 0);
+    }
+  }
+  return out;
+}
+
+/// SerializedHeader() of the store's configuration with another store
+/// type and bound.
+std::string HeaderOf(StoreType store, int32_t bound) {
+  DDSketchConfig config;
+  config.store = store;
+  config.max_num_buckets = bound;
+  return std::move(DDSketch::Create(config)).value().SerializedHeader();
+}
+
+/// Buckets over exactly `span` indices from `lo`: both ends, and every
+/// seventh index between them.
+std::vector<std::pair<int64_t, uint64_t>> SpanBuckets(int64_t lo,
+                                                      int64_t span) {
+  std::vector<std::pair<int64_t, uint64_t>> buckets;
+  for (int64_t i = 0; i < span; ++i) {
+    if (i == 0 || i + 1 == span || i % 7 == 0) {
+      buckets.emplace_back(lo + i, 1 + static_cast<uint64_t>(i % 5));
+    }
+  }
+  return buckets;
+}
+
+/// The MERGE payloads of every shape: the store's own configuration,
+/// other store types, wider bounds, narrower bounds whose own store
+/// collapses at decode, spans about the store's 2048-bucket bound,
+/// negative blocks, an empty sketch, odd side statistics, non-minimal
+/// varints and a block that does not ascend.
+std::vector<std::string> MergePayloads(Rng& rng) {
+  const std::string own = HeaderOf(StoreType::kCollapsingLowestDense, 2048);
+  std::vector<std::string> payloads;
+  const auto real = [&](StoreType store, int32_t bound, double decades) {
+    const int n = static_cast<int>(1 + rng.NextBounded(1000));
+    payloads.push_back(
+        RandomSketch(rng, store, bound, n, decades).Serialize());
+  };
+  for (const double decades : {4.0, 24.0}) {
+    real(StoreType::kCollapsingLowestDense, 2048, decades);
+    real(StoreType::kUnboundedDense, 0, decades);
+    real(StoreType::kCollapsingHighestDense, 2048, decades);
+    real(StoreType::kSparse, 0, decades);
+    real(StoreType::kSparse, 64, decades);
+    real(StoreType::kCollapsingLowestDense, 4096, decades);
+  }
+  // Narrower bounds: an unbounded sketch's image under a header whose
+  // store holds 100 buckets, which collapses at decode.
+  const DDSketch wide = RandomSketch(rng, StoreType::kUnboundedDense, 0,
+                                     static_cast<int>(200 + rng.NextBounded(400)),
+                                     24.0);
+  payloads.push_back(HeaderOf(StoreType::kCollapsingLowestDense, 100) +
+                     wide.Freeze());
+  payloads.push_back(HeaderOf(StoreType::kCollapsingHighestDense, 100) +
+                     wide.Freeze());
+  payloads.push_back(HeaderOf(StoreType::kSparse, 100) + wide.Freeze());
+  // Spans about the bound, under the store's own header, in each sign.
+  const int64_t lo = static_cast<int64_t>(rng.NextBounded(600)) - 300;
+  for (const int64_t span : {2047, 2048, 2049}) {
+    ImageFields positive;
+    positive.positive = SpanBuckets(lo, span);
+    positive.sum = 12.5;
+    positive.min = 0.5;
+    positive.max = 1e9;
+    payloads.push_back(own + EncodeImage(positive));
+    ImageFields negative;
+    negative.negative = SpanBuckets(lo, span);
+    negative.sum = -12.5;
+    negative.min = -1e9;
+    negative.max = -0.5;
+    payloads.push_back(own + EncodeImage(negative));
+  }
+  // Both signs and the zero bucket.
+  ImageFields both;
+  both.zero = 3;
+  both.positive = {{-5, 2}, {0, 1}, {17, 4}};
+  both.negative = {{-40, 1}, {2, 9}};
+  both.sum = 1.25;
+  both.min = -3.5;
+  both.max = 7.0;
+  payloads.push_back(own + EncodeImage(both));
+  // An empty sketch.
+  payloads.push_back(EmptyAccumulator().Serialize());
+  // Side statistics a merge rewrites.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double snan = std::numeric_limits<double>::signaling_NaN();
+  for (const auto& [sum, min, max] :
+       {std::tuple{-0.0, both.min, both.max}, std::tuple{both.sum, nan, both.max},
+        std::tuple{both.sum, both.min, nan}, std::tuple{snan, both.min, both.max},
+        std::tuple{nan, nan, nan}, std::tuple{-0.0, -0.0, -0.0}}) {
+    ImageFields odd = both;
+    odd.sum = sum;
+    odd.min = min;
+    odd.max = max;
+    payloads.push_back(own + EncodeImage(odd));
+  }
+  // Non-minimal varints.
+  for (const Pad pad :
+       {Pad::kZeroCount, Pad::kFirstIndex, Pad::kCount, Pad::kDelta}) {
+    payloads.push_back(own + EncodeImage(both, pad));
+  }
+  // A block that steps down: accepted, and decoded in payload order.
+  ImageFields descending = both;
+  descending.positive = {{10, 1}, {12, 2}, {11, 3}, {30, 1}};
+  payloads.push_back(own + EncodeImage(descending));
+  descending.positive = {{10, 1}, {12, 2}, {10, 3}};
+  payloads.push_back(own + EncodeImage(descending));
+  return payloads;
+}
+
+/// A store of the configuration EmptyAccumulator() has.
+SketchStore MergeTargetStore() {
+  SketchStoreOptions options;
+  options.levels = {{10, 600}, {60, 0}};
+  return std::move(SketchStore::Create(options)).value();
+}
+
+TEST(MergePayloadTest, EveryPayloadShapeDecodesAsTheOracleDoes) {
+  Rng rng(7);
+  for (const std::string& payload : MergePayloads(rng)) {
+    ExpectDeserializeMatchesOracle(payload);
+    ExpectWalkMatchesOracle(payload, /*both_ways=*/true);
+  }
+}
+
+TEST(MergePayloadTest, ASketchOfTheStoresConfigurationMergesItsOwnImage) {
+  // The common case builds nothing: the image merged is the payload's
+  // own bytes after its header.
+  Rng rng(11);
+  const SketchStore store = MergeTargetStore();
+  for (const double decades : {0.5, 4.0, 24.0}) {
+    const std::string payload =
+        RandomSketch(rng, StoreType::kCollapsingLowestDense, 2048, 1000,
+                     decades)
+            .Serialize();
+    DDSketch::SerializedView view;
+    ASSERT_TRUE(store.CheckPayload(payload, &view).ok());
+    EXPECT_TRUE(view.canonical);
+    std::string built;
+    const std::string_view image = store.MergeImageOf(payload, view, &built);
+    EXPECT_TRUE(built.empty());
+    EXPECT_EQ(image.data(), payload.data() + view.header.size());
+    EXPECT_EQ(image.size(), payload.size() - view.header.size());
+  }
+}
+
+TEST(MergePayloadTest, AnotherMappingIsRefusedAsIncompatible) {
+  SketchStore store = MergeTargetStore();
+  DDSketchConfig config;
+  config.relative_accuracy = 0.05;
+  auto wrong = std::move(DDSketch::Create(config)).value();
+  wrong.Add(1.0);
+  EXPECT_EQ(store.Ingest("s", 0, wrong.Serialize()).code(),
+            StatusCode::kIncompatible);
+  config = DDSketchConfig{};
+  config.mapping = MappingType::kCubicInterpolated;
+  EXPECT_EQ(store.Ingest("s", 0,
+                         std::move(DDSketch::Create(config)).value().Serialize())
+                .code(),
+            StatusCode::kIncompatible);
+  EXPECT_EQ(store.num_series(), 0u);
+}
+
+TEST(MergePayloadTest, AWideUnboundedImageIsDecodedBeforeItIsHeld) {
+  // A store with an unbounded dense store holds a payload's image as it
+  // stands only while each block spans at most kMaxUnboundedSpan
+  // buckets: every read of a held image expands its blocks to their
+  // spans, and a 12-byte image can span 2^31 buckets.
+  SketchStoreOptions options;
+  options.sketch.store = StoreType::kUnboundedDense;
+  options.sketch.max_num_buckets = 0;
+  options.levels = {{10, 600}, {60, 0}};
+  SketchStore store = std::move(SketchStore::Create(options)).value();
+  SketchStore reference = std::move(SketchStore::Create(options)).value();
+  const std::string header = HeaderOf(StoreType::kUnboundedDense, 0);
+  // Two buckets 2^31 - 1 indices apart: accepted by a walk that
+  // allocates nothing, and not canonical, so it is never held undecoded
+  // (decoding it would allocate 16 GiB, so this test does not).
+  ImageFields far;
+  far.positive = {{0, 1}, {INT32_MAX, 1}};
+  far.sum = 2.0;
+  far.min = 1.0;
+  far.max = 1e300;
+  DDSketch::SerializedView view;
+  ASSERT_TRUE(store.CheckPayload(header + EncodeImage(far), &view).ok());
+  EXPECT_FALSE(view.canonical);
+  // At the cap the image is held as it stands; one bucket past it, the
+  // image is built. Either way the store ends as Deserialize +
+  // IngestSketch leaves it.
+  constexpr auto kMax =
+      static_cast<int64_t>(DDSketch::SerializedView::kMaxUnboundedSpan);
+  for (const int64_t span : {kMax, kMax + 1}) {
+    ImageFields wide;
+    wide.positive = SpanBuckets(-300, span);
+    wide.sum = 12.5;
+    wide.min = 0.5;
+    wide.max = 1e9;
+    const std::string payload = header + EncodeImage(wide);
+    ASSERT_TRUE(store.CheckPayload(payload, &view).ok());
+    EXPECT_EQ(view.canonical, span == kMax) << span;
+    std::string built;
+    store.MergeImageOf(payload, view, &built);
+    EXPECT_EQ(built.empty(), span == kMax) << span;
+    const int64_t timestamp = span == kMax ? 100 : 200;
+    ASSERT_TRUE(store.Ingest("s", timestamp, payload).ok());
+    ASSERT_TRUE(reference
+                    .IngestSketch("s", timestamp,
+                                  DDSketch::Deserialize(payload).value())
+                    .ok());
+  }
+  EXPECT_EQ(EncodeSnapshot(store, 1), EncodeSnapshot(reference, 1));
+}
+
+TEST(MergePayloadTest, TruncationsAndBitFlipsAreRefusedAsTheOracleDoes) {
+  Rng rng(40503);
+  for (const std::string& payload : MergePayloads(rng)) {
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      ExpectWalkMatchesOracle(std::string_view(payload).substr(0, cut),
+                              /*both_ways=*/false);
+    }
+    for (size_t bit = 0; bit < 8 * payload.size(); ++bit) {
+      std::string flipped = payload;
+      flipped[bit / 8] = static_cast<char>(
+          static_cast<uint8_t>(flipped[bit / 8]) ^ (1u << (bit % 8)));
+      ExpectWalkMatchesOracle(flipped, /*both_ways=*/false);
+    }
+    if (::testing::Test::HasFailure()) FAIL() << HexBytes(payload);
+  }
+}
+
+class FuzzMergePayloadTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FuzzMergePayloadTest, MatchesDeserializeAndIngestSketch) {
+  // One store pair per target: payloads into fresh (empty) intervals,
+  // into one interval held dense, and into one frozen before every merge.
+  Rng rng(GetParam() * 40503);
+  const std::vector<std::string> payloads = MergePayloads(rng);
+  enum Target { kEmpty, kDense, kFrozen };
+  for (const Target target : {kEmpty, kDense, kFrozen}) {
+    SketchStore store = MergeTargetStore();
+    SketchStore reference = MergeTargetStore();
+    for (SketchStore* s : {&store, &reference}) {
+      ASSERT_TRUE(s->IngestValue("s", 100, 3.0).ok());
+    }
+    for (size_t i = 0; i < payloads.size(); ++i) {
+      const int64_t timestamp =
+          target == kEmpty ? 1000 + 10 * static_cast<int64_t>(i) : 100;
+      if (target == kFrozen) {
+        store.Compact(-kMaxTimestamp);  // freezes every interval, folds none
+        reference.Compact(-kMaxTimestamp);
+      }
+      const Status ingested = store.Ingest("s", timestamp, payloads[i]);
+      ASSERT_TRUE(ingested.ok()) << ingested.ToString();
+      ASSERT_TRUE(reference
+                      .IngestSketch("s", timestamp,
+                                    DDSketch::Deserialize(payloads[i]).value())
+                      .ok());
+      ASSERT_EQ(EncodeSnapshot(store, 1), EncodeSnapshot(reference, 1))
+          << "target " << target << " payload " << i << ": "
+          << HexBytes(payloads[i]);
+    }
+    auto merged = store.QueryRange("s", 0, 100000);
+    auto want = reference.QueryRange("s", 0, 100000);
+    ASSERT_TRUE(merged.ok() && want.ok());
+    EXPECT_EQ(merged.value().Serialize(), want.value().Serialize());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzMergePayloadTest,
+                         ::testing::Range<uint64_t>(1, 5));
 
 // ---------------------------------------------------------------------
 // Persistence-format corruption fuzz: unlike the checksum-free wire
@@ -1161,16 +1696,6 @@ std::optional<IngestFields> ViewIngest(std::string_view body) {
   return fields;
 }
 
-std::string HexBytes(std::string_view bytes) {
-  std::string out;
-  char buf[3];
-  for (const char c : bytes) {
-    std::snprintf(buf, sizeof(buf), "%02x", static_cast<uint8_t>(c));
-    out += buf;
-  }
-  return out;
-}
-
 /// Both parsers, and DecodeRequest, give one verdict on `body`.
 void ExpectIngestParsersAgree(std::string_view body) {
   const std::optional<IngestFields> reference = SliceIngest(body);
@@ -1191,24 +1716,6 @@ void ExpectIngestParsersAgree(std::string_view body) {
   } else {
     EXPECT_EQ(request.status().code(), StatusCode::kCorruption);
   }
-}
-
-/// `value` as a LEB128 varint of exactly `width` bytes, at least its
-/// minimal width: zero groups with the continuation bit pad it out.
-std::string PaddedVarint(uint64_t value, int width) {
-  std::string out;
-  for (int i = 0; i < width; ++i) {
-    uint8_t group = 7 * i < 64 ? (value >> (7 * i)) & 0x7f : 0;
-    if (i + 1 < width) group |= 0x80;
-    out.push_back(static_cast<char>(group));
-  }
-  return out;
-}
-
-int VarintWidth(uint64_t value) {
-  std::string encoded;
-  PutVarint64(&encoded, value);
-  return static_cast<int>(encoded.size());
 }
 
 /// An INGEST body from its encoded parts.
@@ -1359,5 +1866,112 @@ TEST(IngestParserDifferentialTest, OtherRequestBodiesAreNotIngests) {
   }
 }
 
+
+// ---------------------------------------------------------------------
+// Frames split without a Status per field. DecodeFrame reads the length
+// with ConsumeVarint64 and the CRC with one load. It must give what the
+// Slice-based split gave (kept below as the reference): the same status,
+// the same body view and the same *frame_size, for every prefix, bit
+// flip and over-long length of the protocol fixture's frames.
+
+/// DecodeFrame as it was: the length, CRC and body read through Slice.
+Result<std::string_view> SliceDecodeFrame(std::string_view buffer,
+                                          size_t* frame_size) {
+  *frame_size = 0;
+  Slice in(buffer);
+  uint64_t body_len = 0;
+  if (!in.GetVarint64(&body_len).ok()) {
+    if (buffer.size() >= static_cast<size_t>(kMaxVarintBytes)) {
+      return Status::Corruption("malformed frame length");
+    }
+    return Status::OutOfRange("incomplete frame");
+  }
+  if (body_len > kMaxFrameBytes) {
+    return Status::Corruption("frame length implausibly large");
+  }
+  *frame_size = buffer.size() - in.remaining() + sizeof(uint32_t) + body_len;
+  uint32_t crc = 0;
+  std::string_view body;
+  if (!in.GetFixed32(&crc).ok() || !in.GetBytes(body_len, &body).ok()) {
+    return Status::OutOfRange("incomplete frame");
+  }
+  if (crc != Crc32c(body)) {
+    return Status::Corruption("frame checksum mismatch");
+  }
+  return body;
+}
+
+void ExpectFrameSplitsAgree(std::string_view buffer) {
+  size_t want_size = 1, got_size = 2;
+  const auto want = SliceDecodeFrame(buffer, &want_size);
+  const auto got = DecodeFrame(buffer, &got_size);
+  ASSERT_EQ(got.status(), want.status()) << HexBytes(buffer);
+  EXPECT_EQ(got_size, want_size) << HexBytes(buffer);
+  if (want.ok()) {
+    EXPECT_EQ(got.value().data(), want.value().data());
+    EXPECT_EQ(got.value().size(), want.value().size());
+  }
+}
+
+/// The frames of the protocol fixture (every request, response and
+/// replication frame of the v7 protocol), after its hello.
+std::vector<std::string> ProtocolFixtureFrames() {
+  std::ifstream in(std::string(DD_GOLDEN_DIR) + "/protocol_v7.bin",
+                   std::ios::binary);
+  const std::string fixture((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  std::vector<std::string> frames;
+  std::string_view rest(fixture);
+  if (rest.size() < kHelloBytes) return frames;
+  rest.remove_prefix(kHelloBytes);
+  while (!rest.empty()) {
+    size_t frame_size = 0;
+    if (!SliceDecodeFrame(rest, &frame_size).ok()) break;
+    frames.emplace_back(rest.substr(0, frame_size));
+    rest.remove_prefix(frame_size);
+  }
+  return frames;
+}
+
+TEST(FrameSplitDifferentialTest, PrefixesFlipsAndOverLongLengths) {
+  const std::vector<std::string> frames = ProtocolFixtureFrames();
+  ASSERT_GE(frames.size(), 20u);
+  for (size_t f = 0; f < frames.size(); ++f) {
+    const std::string& frame = frames[f];
+    // Every prefix, and the frame with the next one buffered behind it.
+    for (size_t cut = 0; cut <= frame.size(); ++cut) {
+      ExpectFrameSplitsAgree(std::string_view(frame).substr(0, cut));
+    }
+    ExpectFrameSplitsAgree(frame + frames[(f + 1) % frames.size()]);
+    // Every single-bit flip.
+    for (size_t bit = 0; bit < 8 * frame.size(); ++bit) {
+      std::string flipped = frame;
+      flipped[bit / 8] = static_cast<char>(
+          static_cast<uint8_t>(flipped[bit / 8]) ^ (1u << (bit % 8)));
+      ExpectFrameSplitsAgree(flipped);
+    }
+    // The length padded to every width up to past kMaxVarintBytes, each
+    // with every prefix, and lengths at and past kMaxFrameBytes.
+    std::string_view length_and_rest(frame);
+    uint64_t body_len = 0;
+    ASSERT_TRUE(ConsumeVarint64(&length_and_rest, &body_len));
+    const std::string_view rest = length_and_rest;
+    for (int width = VarintWidth(body_len); width <= kMaxVarintBytes + 2;
+         ++width) {
+      const std::string padded = PaddedVarint(body_len, width) + std::string(rest);
+      for (size_t cut = 0; cut <= padded.size(); ++cut) {
+        ExpectFrameSplitsAgree(std::string_view(padded).substr(0, cut));
+      }
+    }
+    for (const uint64_t len :
+         {kMaxFrameBytes, kMaxFrameBytes + 1, uint64_t{1} << 63,
+          std::numeric_limits<uint64_t>::max()}) {
+      std::string huge;
+      PutVarint64(&huge, len);
+      ExpectFrameSplitsAgree(huge + std::string(rest));
+    }
+    if (::testing::Test::HasFailure()) FAIL() << "frame " << f;
+  }
+}
 }  // namespace
 }  // namespace dd

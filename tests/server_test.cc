@@ -183,6 +183,15 @@ TEST_F(ServerTest, ServerSideErrorsReachTheClientAsStatuses) {
   wrong.Add(1.0);
   EXPECT_EQ(client.Merge("svc", 0, wrong.Serialize()).code(),
             StatusCode::kIncompatible);
+  // Payloads with the store's own header whose image is cut short or
+  // followed by a stray byte.
+  auto worker = std::move(DDSketch::Create(DDSketchConfig{})).value();
+  worker.Add(2.0);
+  const std::string payload = worker.Serialize();
+  EXPECT_EQ(client.Merge("svc", 0, payload.substr(0, payload.size() - 1)).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(client.Merge("svc", 0, payload + '\0').code(),
+            StatusCode::kCorruption);
   // The rejected requests must not have reached the WAL.
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
