@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -137,20 +138,47 @@ void DenseStore::Extend(int32_t new_min, int32_t new_max) {
   assert(new_min <= new_max);
   if (counts_.empty()) {
     counts_.assign(
-        RoundUpToChunk(static_cast<size_t>(new_max) - new_min + 1), 0);
+        RoundUpToChunk(static_cast<size_t>(IndexSpan(new_min, new_max)) + 1),
+        0);
     offset_ = new_min;
     return;
   }
-  const int32_t cur_hi = offset_ + static_cast<int32_t>(counts_.size()) - 1;
+  const int64_t cur_hi =
+      offset_ + static_cast<int64_t>(counts_.size()) - 1;
   if (new_min >= offset_ && new_max <= cur_hi) return;  // already covered
   const int32_t lo = std::min(new_min, offset_);
-  const int32_t hi = std::max(new_max, cur_hi);
-  std::vector<uint64_t> fresh(
-      RoundUpToChunk(static_cast<size_t>(hi) - lo + 1), 0);
+  const int64_t hi = std::max<int64_t>(new_max, cur_hi);
+  std::vector<uint64_t> fresh(RoundUpToChunk(static_cast<size_t>(hi - lo) + 1),
+                              0);
   std::copy(counts_.begin(), counts_.end(),
             fresh.begin() + (offset_ - lo));
   counts_ = std::move(fresh);
   offset_ = lo;
+}
+
+void DenseStore::Rebase(int32_t lo, int32_t hi, bool up) {
+  const int64_t end = offset_ + static_cast<int64_t>(counts_.size());
+  if (lo >= offset_ && hi < end) return;  // already covered
+  // One growth chunk of room past the window, clipped to the index range.
+  const int64_t size =
+      static_cast<int64_t>(RoundUpToChunk(
+          static_cast<size_t>(IndexSpan(lo, hi)) + 1)) +
+      static_cast<int64_t>(kGrowthChunk);
+  const int64_t base =
+      up ? lo
+         : std::max<int64_t>(std::numeric_limits<int32_t>::min(),
+                             hi - size + 1);
+  const int64_t top = std::min<int64_t>(
+      base + size, int64_t{std::numeric_limits<int32_t>::max()} + 1);
+  std::vector<uint64_t> fresh(static_cast<size_t>(top - base), 0);
+  const int64_t from = std::max<int64_t>(base, offset_);
+  const int64_t to = std::min(top, end);
+  if (from < to) {
+    std::copy(counts_.begin() + (from - offset_),
+              counts_.begin() + (to - offset_), fresh.begin() + (from - base));
+  }
+  counts_ = std::move(fresh);
+  offset_ = static_cast<int32_t>(base);
 }
 
 void DenseStore::MergeFrom(const Store& other) {
@@ -170,7 +198,7 @@ void DenseStore::MergeFrom(const Store& other) {
     }
     if (ReserveMergeSpan(dense->min_index_, dense->max_index_,
                          dense->total_count_)) {
-      for (int32_t i = dense->min_index_; i <= dense->max_index_; ++i) {
+      for (int64_t i = dense->min_index_; i <= dense->max_index_; ++i) {
         AddInSpan(i, dense->counts_[static_cast<size_t>(i - dense->offset_)]);
       }
       return;
@@ -242,7 +270,7 @@ int32_t DenseStore::max_index() const noexcept {
 size_t DenseStore::num_buckets() const noexcept {
   if (total_count_ == 0) return 0;
   size_t n = 0;
-  for (int32_t i = min_index_; i <= max_index_; ++i) {
+  for (int64_t i = min_index_; i <= max_index_; ++i) {
     if (counts_[static_cast<size_t>(i - offset_)] > 0) ++n;
   }
   return n;
@@ -250,7 +278,7 @@ size_t DenseStore::num_buckets() const noexcept {
 
 bool DenseStore::ForEach(BucketVisitor fn) const {
   if (total_count_ == 0) return true;
-  for (int32_t i = min_index_; i <= max_index_; ++i) {
+  for (int64_t i = min_index_; i <= max_index_; ++i) {
     const uint64_t c = counts_[static_cast<size_t>(i - offset_)];
     if (c > 0 && !fn(i, c)) return false;
   }
@@ -259,7 +287,7 @@ bool DenseStore::ForEach(BucketVisitor fn) const {
 
 bool DenseStore::ForEachDescending(BucketVisitor fn) const {
   if (total_count_ == 0) return true;
-  for (int32_t i = max_index_; i >= min_index_; --i) {
+  for (int64_t i = max_index_; i >= min_index_; --i) {
     const uint64_t c = counts_[static_cast<size_t>(i - offset_)];
     if (c > 0 && !fn(i, c)) return false;
   }
@@ -327,10 +355,11 @@ size_t CollapsingLowestDenseStore::SlotFor(int32_t index) {
   }
   const int32_t lo = std::min(index, min_index_);
   const int32_t hi = std::max(index, max_index_);
-  if (hi - lo < max_num_buckets_) {
+  if (SpanFits(lo, hi)) {
     Extend(lo, hi);
     return static_cast<size_t>(index - offset_);
   }
+  // The window after the fold is [new_min, hi].
   has_collapsed_ = true;
   const int32_t new_min = hi - max_num_buckets_ + 1;
   fold_index_ = new_min;  // Remove's redirect target (see RemoveTarget)
@@ -339,22 +368,18 @@ size_t CollapsingLowestDenseStore::SlotFor(int32_t index) {
     Extend(new_min, hi);
     return static_cast<size_t>(new_min - offset_);
   }
-  // Incoming value raises the ceiling: fold existing low buckets upward.
-  // (The array may transiently address more than max_num_buckets_ slots
-  // during the fold; capacity is retained but the live span is bounded.)
-  Extend(std::min(min_index_, new_min), hi);
+  // Incoming value raises the ceiling: fold the live buckets below the
+  // window into its lowest one, then move the array onto the window, so
+  // it never spans the gap below a far add.
   uint64_t folded = 0;
-  for (int32_t j = min_index_; j < new_min; ++j) {
+  for (int32_t j = min_index_; j < new_min && j <= max_index_; ++j) {
     uint64_t& c = counts_[static_cast<size_t>(j - offset_)];
     folded += c;
     c = 0;
   }
+  Rebase(new_min, hi, /*up=*/true);
   counts_[static_cast<size_t>(new_min - offset_)] += folded;
-  if (folded > 0) {
-    min_index_ = new_min;
-  } else if (min_index_ < new_min) {
-    min_index_ = new_min;  // stale extreme with zero count
-  }
+  min_index_ = std::max(min_index_, new_min);
   return static_cast<size_t>(index - offset_);
 }
 
@@ -369,10 +394,11 @@ size_t CollapsingHighestDenseStore::SlotFor(int32_t index) {
   }
   const int32_t lo = std::min(index, min_index_);
   const int32_t hi = std::max(index, max_index_);
-  if (hi - lo < max_num_buckets_) {
+  if (SpanFits(lo, hi)) {
     Extend(lo, hi);
     return static_cast<size_t>(index - offset_);
   }
+  // The window after the fold is [lo, new_max].
   has_collapsed_ = true;
   const int32_t new_max = lo + max_num_buckets_ - 1;
   fold_index_ = new_max;
@@ -380,19 +406,15 @@ size_t CollapsingHighestDenseStore::SlotFor(int32_t index) {
     Extend(lo, new_max);
     return static_cast<size_t>(new_max - offset_);
   }
-  Extend(lo, std::max(max_index_, new_max));
   uint64_t folded = 0;
-  for (int32_t j = max_index_; j > new_max; --j) {
+  for (int32_t j = max_index_; j > new_max && j >= min_index_; --j) {
     uint64_t& c = counts_[static_cast<size_t>(j - offset_)];
     folded += c;
     c = 0;
   }
+  Rebase(lo, new_max, /*up=*/false);
   counts_[static_cast<size_t>(new_max - offset_)] += folded;
-  if (folded > 0) {
-    max_index_ = new_max;
-  } else if (max_index_ > new_max) {
-    max_index_ = new_max;
-  }
+  max_index_ = std::min(max_index_, new_max);
   return static_cast<size_t>(index - offset_);
 }
 

@@ -179,6 +179,13 @@ class Store {
                                                int32_t max_num_buckets);
 };
 
+/// `hi - lo` for two bucket indices, in 64 bits, so that no span check
+/// overflows: INT32_MAX - INT32_MIN is 2^32 - 1. Every dense store's span
+/// arithmetic goes through here.
+inline int64_t IndexSpan(int32_t lo, int32_t hi) noexcept {
+  return static_cast<int64_t>(hi) - lo;
+}
+
 /// Contiguous counter array over [offset, offset + counts.size()), growing
 /// in both directions in chunks. Base class of the three dense variants.
 class DenseStore : public Store {
@@ -286,6 +293,14 @@ class DenseStore : public Store {
   /// Grows `counts_` so that [new_min, new_max] fits, preserving contents.
   void Extend(int32_t new_min, int32_t new_max);
 
+  /// Re-bases `counts_` onto [lo, hi], the window a fold leaves, keeping
+  /// the counts inside it: the caller has folded every count outside it
+  /// into it first. A no-op when the array covers the window; otherwise
+  /// the new array spans the window plus one growth chunk on the side it
+  /// slides toward (above it when `up`), so a collapsing store's array
+  /// stays O(max_num_buckets) however far apart its adds.
+  void Rebase(int32_t lo, int32_t hi, bool up);
+
   /// True iff holding the contiguous span [lo, hi] requires no collapse.
   virtual bool SpanFits(int32_t lo, int32_t hi) const noexcept {
     (void)lo;
@@ -370,7 +385,7 @@ class CollapsingLowestDenseStore final : public DenseStore {
     return index < fold_index_ ? fold_index_ : index;
   }
   bool SpanFits(int32_t lo, int32_t hi) const noexcept override {
-    return hi - lo < max_num_buckets_;
+    return IndexSpan(lo, hi) < max_num_buckets_;
   }
 
  private:
@@ -406,7 +421,7 @@ class CollapsingHighestDenseStore final : public DenseStore {
     return index > fold_index_ ? fold_index_ : index;
   }
   bool SpanFits(int32_t lo, int32_t hi) const noexcept override {
-    return hi - lo < max_num_buckets_;
+    return IndexSpan(lo, hi) < max_num_buckets_;
   }
 
  private:

@@ -1000,14 +1000,11 @@ bool SketchServer::StageIngestRun(IngestRun* run) {
     if (by_shard[k].empty()) continue;
     Shard& shard = *shards_[k];
     std::lock_guard<std::mutex> lk(shard.queue_mu);
-    if (shard.stopping || !shard.commit_error.ok()) {
-      // Refused at staging time (shutdown or a fail-stopped shard):
-      // complete on the spot and refund the admission charge.
-      const Status status =
-          shard.stopping ? Status::ResourceExhausted("server is shutting down")
-                         : shard.commit_error;
+    if (shard.stopping) {
+      // Refused at staging time: complete on the spot and refund the
+      // admission charge.
       for (PendingIngest* entry : by_shard[k]) {
-        entry->result = status;
+        entry->result = Status::ResourceExhausted("server is shutting down");
         ledger_->Refund(entry->tag_id, entry->bytes);
         entry->bytes = 0;
       }
@@ -1246,37 +1243,26 @@ void SketchServer::CommitOneBatch(size_t shard_index,
     batch.push_back(shard.queue.front());
     shard.queue.pop_front();
   }
-  // A batch staged before a commit failure must not reach the store:
-  // after a failed WAL repair the log may end in a torn frame, and
-  // anything appended behind it would be ACKed yet silently dropped by
-  // recovery. Fail it with the sticky error instead.
-  Status status = shard.commit_error;
   lk->unlock();
 
+  // A failed store refuses the batch itself, with its sticky status,
+  // before anything reaches the log.
+  std::vector<WalRecord> records;
+  records.reserve(batch.size());
+  for (PendingIngest* pending : batch) {
+    records.push_back(std::move(pending->record));
+  }
+  Status status;
   uint64_t offset = 0;
   uint64_t epoch = 0;
-  if (status.ok()) {
-    std::vector<WalRecord> records;
-    records.reserve(batch.size());
-    for (PendingIngest* pending : batch) {
-      records.push_back(std::move(pending->record));
-    }
+  {
     std::lock_guard<std::mutex> store_lk(shard.store_mu);
     status = store_->shard(shard_index).IngestBatch(records);
     offset = store_->shard(shard_index).wal_offset();
     epoch = store_->shard(shard_index).epoch();
   }
-
   lk->lock();
-  if (status.ok()) {
-    ++shard.batch_commits;
-  } else if (shard.commit_error.ok() &&
-             status.code() != StatusCode::kFenced) {
-    // Fail-stop this shard's ingest path — except on FENCED, which
-    // refuses before the WAL is touched: the durability substrate is
-    // intact and a later Promote() makes the shard writable again.
-    shard.commit_error = status;
-  }
+  if (status.ok()) ++shard.batch_commits;
   lk->unlock();
   // Admission charges are refunded to their tags' ledgers as soon as
   // the batch leaves the staging pipeline — parked bytes below are
@@ -1402,22 +1388,21 @@ void SketchServer::CheckpointStep() {
         options_.checkpoint_interval_ms > 0 &&
         Clock::now() - shard.checkpoint_deadline_base >= interval;
     if (!size_due && !time_due) continue;
-    if (Clock::now() < shard.checkpoint_backoff_until) continue;
+    // A failed store refuses every checkpoint until a restart: skip it.
+    if (!shard_store.failure().ok() || Clock::now() < shard.retry_after) {
+      continue;
+    }
     // Holding only this shard's store_mu: its committer waits, every
-    // other shard keeps committing. A background checkpoint failure is
-    // not fail-stop here — the WAL is untouched by a failed snapshot
-    // write, so ingest stays safe, and a failed WAL reset after it makes
-    // the store itself refuse every later write — but a full snapshot
-    // attempt every poll against a broken disk would burn CPU/IO
-    // silently, so failures back off and reach the operator's log.
+    // other shard keeps committing. A failure the store can retry backs
+    // off, so a broken disk is not hit every poll; either kind reaches
+    // the operator's log.
     if (Status status = shard_store.Checkpoint(); status.ok()) {
       ++shard.background_checkpoints;
     } else {
       std::fprintf(stderr,
-                   "sketchd: background checkpoint of shard %zu failed "
-                   "(will retry in 5s): %s\n",
+                   "sketchd: background checkpoint of shard %zu failed: %s\n",
                    k, status.ToString().c_str());
-      shard.checkpoint_backoff_until = Clock::now() + kRetryBackoff;
+      shard.retry_after = Clock::now() + kRetryBackoff;
     }
     shard.checkpoint_deadline_base = Clock::now();
   }
@@ -1428,7 +1413,7 @@ void SketchServer::FenceRetryStep() {
     std::lock_guard<std::mutex> store_lk(shards_[k]->store_mu);
     const DurableSketchStore& shard_store = store_->shard(k);
     if (!shard_store.fence_pending() ||
-        Clock::now() < shards_[k]->fence_backoff_until) {
+        Clock::now() < shards_[k]->retry_after) {
       continue;
     }
     FenceShard(k, shard_store.fence_token());
@@ -1443,7 +1428,7 @@ void SketchServer::FenceShard(size_t k, uint64_t token) {
                  "sketchd: writing the fence of shard %zu failed (will "
                  "retry in 5s): %s\n",
                  k, status.ToString().c_str());
-    shards_[k]->fence_backoff_until = Clock::now() + kRetryBackoff;
+    shards_[k]->retry_after = Clock::now() + kRetryBackoff;
   }
 }
 

@@ -58,10 +58,17 @@
 //
 // One maintenance thread runs the periodic duties on one ~50 ms tick:
 // the throttle duty first (at most every 200 ms), then the background
-// checkpoint triggers, then the retry of any fence whose LOCK write
-// failed. A background checkpoint can therefore delay the next
-// throttle step by its own length; that step's window then simply
-// covers the longer span.
+// checkpoint triggers (while writable), then the retry of any fence
+// whose LOCK write failed (while fenced). A background checkpoint can
+// therefore delay the next throttle step by its own length; that
+// step's window then simply covers the longer span.
+//
+// Failure: the server keeps no failure state of its own. A shard's
+// DurableSketchStore decides which disk failures are fatal, and once
+// one is (DurableSketchStore::failure()) it refuses that shard's every
+// write and checkpoint with the status the client sees; the other
+// shards, QUERY and STATS keep serving, and the maintenance thread
+// skips the failed store until a restart reopens it.
 //
 // Self-instrumentation: every latency row — six per-op rows and a
 // cumulative plus a window row per tag id — is a server-wide
@@ -280,26 +287,18 @@ class SketchServer {
     std::deque<PendingIngest*> queue;
     bool stopping = false;        // guarded by queue_mu
     uint64_t batch_commits = 0;   // guarded by queue_mu
-    /// Sticky first commit error (guarded by queue_mu). After a batch
-    /// commit fails this shard's durability substrate is suspect — and
-    /// if the WAL repair failed its log is torn, where further appends
-    /// would be silently dropped by recovery — so this shard's ingest
-    /// path fail-stops: every later INGEST/MERGE routed here is refused
-    /// with this status. Other shards, queries, STATS, and CHECKPOINT
-    /// keep working.
-    Status commit_error;
 
     std::thread committer;
 
     /// Background-checkpoint bookkeeping (guarded by store_mu, like the
     /// store).
     std::chrono::steady_clock::time_point checkpoint_deadline_base;
-    /// After a failed background checkpoint this shard is skipped until
-    /// here — a snapshot write is expensive, so a persistently failing
-    /// one must not be retried every poll.
-    std::chrono::steady_clock::time_point checkpoint_backoff_until{};
-    /// Likewise for the retry of a fence whose LOCK write failed.
-    std::chrono::steady_clock::time_point fence_backoff_until{};
+    /// After a failed background checkpoint, or a fence whose LOCK write
+    /// failed, the maintenance thread skips this shard until here: a
+    /// persistently failing disk must not be hit every poll. One field
+    /// serves both, as checkpoints run only while the server is writable
+    /// and fence retries only while it is fenced.
+    std::chrono::steady_clock::time_point retry_after{};
     uint64_t background_checkpoints = 0;
   };
 

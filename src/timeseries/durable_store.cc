@@ -376,25 +376,29 @@ Status DurableSketchStore::IngestBatch(const std::vector<WalRecord>& records) {
 
 Status DurableSketchStore::Commit(std::span<const WalRecord> records,
                                   std::string_view framed) {
-  if (!wal_failure_.ok()) return wal_failure_;
+  if (!failure_.ok()) return failure_;
   MergeImages images;
   DD_RETURN_IF_ERROR(DecodeRecords(store_, records, &images));
   const uint64_t start = wal_.offset();
-  Status status = wal_.AppendRaw(framed);
-  if (status.ok()) status = wal_.Sync();
-  if (!status.ok()) {
+  if (Status appended = wal_.AppendRaw(framed); !appended.ok()) {
     // A partial append (e.g. ENOSPC or EFBIG mid-record) leaves a torn
     // frame in the middle of the log; anything appended after it would
     // be silently dropped by recovery's torn-tail scan. Truncate back to
-    // where this commit started so the log stays clean for the next
-    // one; if even that fails, escalate — the log must not be appended
-    // to again (SketchServer fail-stops its ingest path on any error).
+    // where this commit started so the next one can retry; if even that
+    // fails, the log must take no more records.
     if (Status repair = wal_.TruncateTo(start); !repair.ok()) {
-      return Status::Internal(
-          "WAL left torn after failed commit (" + status.ToString() +
-          "); truncate failed: " + repair.message());
+      return Fail("WAL left torn by a failed append (" +
+                      appended.message() + "); truncating it back failed",
+                  repair);
     }
-    return status;
+    return appended;
+  }
+  if (Status synced = wal_.Sync(); !synced.ok()) {
+    // After a failed fsync the kernel may have dropped the dirty pages,
+    // and a retried fsync can report success for them: no later record
+    // may be acknowledged. The batch is cut back off, as it is refused.
+    (void)wal_.TruncateTo(start);
+    return Fail("WAL fsync failed", synced);
   }
   return MergeRecords(&store_, records, images.images);
 }
@@ -409,20 +413,32 @@ Status DurableSketchStore::CheckpointUnguarded() {
   //  * replication — a follower crossing this epoch boundary runs its
   //    own CheckpointUnguarded with bit-identical raw state (it has
   //    replayed the full epoch), so it folds to bit-identical levels.
-  if (!wal_failure_.ok()) return wal_failure_;
+  // Once the snapshot's rename lands it carries the WAL's own epoch,
+  // whose records recovery discards as folded: from then on a record
+  // logged before the reset completes could be lost.
+  if (!failure_.ok()) return failure_;
   store_.Compact(std::numeric_limits<int64_t>::max());
   const uint64_t epoch = wal_.epoch();
   const uint64_t end_offset = wal_.offset();
-  DD_RETURN_IF_ERROR(
-      WriteSnapshotFile(store_, epoch, SnapshotPath(data_dir_)));
+  bool renamed = false;
+  if (Status written = WriteSnapshotFile(store_, epoch,
+                                         SnapshotPath(data_dir_), &renamed);
+      !written.ok()) {
+    if (!renamed) return written;
+    return Fail("snapshot renamed but its directory fsync failed", written);
+  }
   if (Status reset = wal_.Reset(epoch + 1); !reset.ok()) {
-    wal_failure_ = Status::Internal(
-        "WAL reset failed after the checkpoint's snapshot was written (" +
-        reset.message() + "); writes are refused until the store reopens");
-    return wal_failure_;
+    return Fail("WAL reset failed after the checkpoint's snapshot was written",
+                reset);
   }
   prior_epoch_end_ = end_offset;
   return Status::OK();
+}
+
+Status DurableSketchStore::Fail(const std::string& step, const Status& cause) {
+  failure_ = Status::Internal(step + ": " + cause.message() +
+                              "; writes are refused until the store reopens");
+  return failure_;
 }
 
 Status DurableSketchStore::Checkpoint() {
@@ -441,6 +457,7 @@ Result<size_t> DurableSketchStore::Compact(int64_t now) {
 }
 
 Status DurableSketchStore::CheckWritable() const {
+  if (!failure_.ok()) return failure_;
   if (role_ == StoreRole::kFollower) {
     return Status::Fenced(
         "store is a follower (applier mode); writes must go to the primary");
@@ -552,6 +569,7 @@ Status DurableSketchStore::InstallReplicatedSnapshot(
   if (role_ != StoreRole::kFollower) {
     return Status::Internal("InstallReplicatedSnapshot on a primary store");
   }
+  if (!failure_.ok()) return failure_;
   auto decoded = DecodeSnapshot(snapshot_bytes);
   if (!decoded.ok()) return decoded.status();
   DD_RETURN_IF_ERROR(
@@ -562,12 +580,20 @@ Status DurableSketchStore::InstallReplicatedSnapshot(
   }
   // Remove the WAL before replacing the snapshot: a crash between the
   // two steps reopens as "snapshot only" (old or new state, both
-  // valid), never as a snapshot/WAL epoch mismatch.
+  // valid), never as a snapshot/WAL epoch mismatch. From the removal on
+  // the writer's log is gone, so a failure can only be repaired by
+  // reopening.
   DD_RETURN_IF_ERROR(RemoveFileIfExists(WalPath(data_dir_)));
-  DD_RETURN_IF_ERROR(
-      WriteFileAtomic(SnapshotPath(data_dir_), snapshot_bytes));
+  const std::string step =
+      "replicated snapshot install failed after removing the WAL";
+  const std::string snapshot_path = SnapshotPath(data_dir_);
+  if (Status written = ReplaceFile(snapshot_path + ".tmp", snapshot_path,
+                                   snapshot_bytes);
+      !written.ok()) {
+    return Fail(step, written);
+  }
   auto writer = WalWriter::Create(WalPath(data_dir_), wal_epoch);
-  if (!writer.ok()) return writer.status();
+  if (!writer.ok()) return Fail(step, writer.status());
   wal_ = std::move(writer).value();
   store_ = std::move(decoded).value().store;
   prior_epoch_end_ = 0;  // the new WAL has no local prior-epoch history

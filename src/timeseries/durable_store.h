@@ -14,6 +14,16 @@
 // replays the log through the same merge, so the live store, a reopened
 // one and a follower hold byte-identical state.
 //
+// Failure: the store alone decides which disk failures are fatal. A
+// failure it can undo (an append cut back cleanly, a snapshot write
+// that fails before its rename) refuses only the call that met it. A
+// failure past a point of no return — a torn WAL, a failed WAL fsync, a
+// snapshot or log renamed into place whose directory fsync failed, a
+// replicated install that failed after removing the WAL — sets one
+// sticky status (failure()): every later write and checkpoint is
+// refused with it, and reopening the directory recovers every
+// acknowledged write.
+//
 // Recovery protocol (Open): a fresh directory is initialized with an
 // empty epoch-0 snapshot, pinning the store options so every later Open
 // can verify them (a WAL-only directory must never silently adopt new
@@ -106,10 +116,9 @@ class DurableSketchStore {
   /// fails the whole batch with nothing written. An OK return means
   /// every record in the batch replays on the next Open(), even after
   /// power loss. On an append/fsync failure the log is truncated back
-  /// to the batch start (nothing from the batch replays); if even that
-  /// repair fails the log is torn mid-file and the error says so —
-  /// callers must stop appending (a torn frame would make recovery
-  /// silently drop everything after it).
+  /// to the batch start (nothing from the batch replays); a failed
+  /// append so repaired can be retried. A failed fsync, or a repair
+  /// that fails (the log is then torn), sets failure().
   Status IngestBatch(const std::vector<WalRecord>& records);
 
   /// Explicitly ages the ladder (SketchStore::Compact, with `now`
@@ -125,9 +134,9 @@ class DurableSketchStore {
   /// so aging happens exactly at epoch boundaries and nowhere else:
   /// crash recovery replays raw records onto the last folded snapshot,
   /// and a replication follower crossing the boundary folds its own
-  /// identical raw state to the identical ladder. A failed snapshot
-  /// write leaves the store as it was; a failed WAL reset after it
-  /// makes the store refuse every later write until it is reopened.
+  /// identical raw state to the identical ladder. A snapshot write that
+  /// fails before its rename leaves the store writable, to retry; one
+  /// that fails after it, or a failed WAL reset, sets failure().
   Status Checkpoint();
 
   // --- Replication + fencing (server/replication.h, PROTOCOL.md v5) ---
@@ -150,6 +159,11 @@ class DurableSketchStore {
   bool writes_fenced() const noexcept {
     return fenced_ || role_ == StoreRole::kFollower;
   }
+
+  /// OK, or the sticky status every write and checkpoint is refused
+  /// with since a failure past a point of no return (see the file
+  /// comment). Read under the lock that serializes the store.
+  const Status& failure() const noexcept { return failure_; }
 
   /// Records that a writer holding `observed_token` exists: adopts the
   /// larger token, sticky-fences this store, persists. Idempotent once
@@ -292,11 +306,15 @@ class DurableSketchStore {
   /// an append or fsync failure the log is truncated back to where it
   /// started. Takes no writability gate (the follower's apply uses it).
   Status Commit(std::span<const WalRecord> records, std::string_view framed);
-  /// FENCED when writes_fenced(); the gate on every public write path.
+  /// failure(), else FENCED when writes_fenced(); the gate on every
+  /// public write path.
   Status CheckWritable() const;
   /// Checkpoint without the writability gate (the follower's own
   /// checkpoint when the primary's stream crosses an epoch).
   Status CheckpointUnguarded();
+  /// Sets failure() for a `step` that failed past a point of no return
+  /// with `cause`, and returns it.
+  Status Fail(const std::string& step, const Status& cause);
 
   DurableSketchStoreOptions options_;
   std::string data_dir_;
@@ -309,13 +327,8 @@ class DurableSketchStore {
   /// The in-memory fence is newer than the LOCK file (its write failed).
   bool fence_pending_ = false;
   uint64_t prior_epoch_end_ = 0;
-  /// Sticky once a checkpoint's WAL reset fails after its snapshot was
-  /// written. The log is then the old epoch's, whose records recovery
-  /// discards as already in that snapshot, or a new one whose rename
-  /// may not be durable: a record logged to either could be lost. So
-  /// Commit and every checkpoint refuse with this status; reopening the
-  /// directory recovers every acknowledged write.
-  Status wal_failure_;
+  /// failure(): set only by Fail, cleared only by reopening.
+  Status failure_;
 };
 
 

@@ -280,8 +280,9 @@ Result<SnapshotContents> DecodeSnapshot(std::string_view bytes) {
 }
 
 Status WriteSnapshotFile(const SketchStore& store, uint64_t epoch,
-                         const std::string& path) {
-  return WriteFileAtomic(path, EncodeSnapshot(store, epoch));
+                         const std::string& path, bool* renamed) {
+  return ReplaceFile(path + ".tmp", path, EncodeSnapshot(store, epoch),
+                     renamed);
 }
 
 Result<SnapshotContents> ReadSnapshotFile(const std::string& path) {

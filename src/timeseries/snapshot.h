@@ -67,9 +67,10 @@ std::string EncodeSnapshot(const SketchStore& store, uint64_t epoch);
 /// input.
 Result<SnapshotContents> DecodeSnapshot(std::string_view bytes);
 
-/// Encodes and atomically replaces `path`.
+/// Encodes and atomically replaces `path` (ReplaceFile through
+/// `<path>.tmp`; `*renamed`, when given, says whether its rename landed).
 Status WriteSnapshotFile(const SketchStore& store, uint64_t epoch,
-                         const std::string& path);
+                         const std::string& path, bool* renamed = nullptr);
 
 /// Reads and decodes `path`.
 Result<SnapshotContents> ReadSnapshotFile(const std::string& path);

@@ -205,14 +205,11 @@ Result<WalContents> ReadWalFile(const std::string& path, WalRead mode) {
 
 Result<WalWriter> WalWriter::Create(const std::string& path, uint64_t epoch) {
   DD_RETURN_IF_ERROR(CheckEpochRange(epoch));
-  // Truncate any previous contents, then write the header durably.
-  DD_RETURN_IF_ERROR(RemoveFileIfExists(path));
-  auto file = AppendOnlyFile::Open(path);
-  if (!file.ok()) return file.status();
-  WalWriter writer(std::move(file).value(), epoch);
+  WalWriter writer(AppendOnlyFile(), epoch);
   DD_RETURN_IF_ERROR(
-      writer.file_.Append(EncodeWalHeader(static_cast<uint32_t>(epoch))));
-  DD_RETURN_IF_ERROR(writer.file_.Sync());
+      ReplaceFile(path + ".next", path,
+                  EncodeWalHeader(static_cast<uint32_t>(epoch)),
+                  /*renamed=*/nullptr, &writer.file_));
   return writer;
 }
 
@@ -264,26 +261,24 @@ WalWriter::~WalWriter() {
 Status WalWriter::Reset(uint64_t epoch) {
   DD_RETURN_IF_ERROR(CheckEpochRange(epoch));
   const std::string path = file_.path();
-  const std::string next = path + ".next";
-  DD_RETURN_IF_ERROR(RemoveFileIfExists(next));
-  auto created = AppendOnlyFile::Open(next);
-  if (!created.ok()) return created.status();
-  AppendOnlyFile file = std::move(created).value();
-  DD_RETURN_IF_ERROR(
-      file.Append(EncodeWalHeader(static_cast<uint32_t>(epoch))));
-  DD_RETURN_IF_ERROR(file.Sync());
-  DD_RETURN_IF_ERROR(file.RenameTo(path));
-  // `path` names the new log now: follow it before anything can fail.
+  AppendOnlyFile file;
+  bool renamed = false;
+  const Status status =
+      ReplaceFile(path + ".next", path,
+                  EncodeWalHeader(static_cast<uint32_t>(epoch)), &renamed,
+                  &file);
+  if (!renamed) return status;
+  // `path` names the new log now: follow it even if the directory fsync
+  // after the rename failed.
   std::swap(file_, file);
   epoch_ = epoch;
-  const Status synced = SyncParentDir(path);
   if (closer_.joinable()) closer_.join();
   try {
     closer_ = std::thread([](AppendOnlyFile) {}, std::move(file));
   } catch (const std::system_error&) {
     // No thread to spare: the old log was closed here instead.
   }
-  return synced;
+  return status;
 }
 
 }  // namespace dd

@@ -128,7 +128,9 @@ Result<std::vector<WalRecord>> DecodeWalSegment(std::string_view bytes);
 /// and Sync() makes it power-loss safe.
 class WalWriter {
  public:
-  /// Creates or truncates `path` as an empty epoch-`epoch` log.
+  /// Puts an empty epoch-`epoch` log at `path`, replacing any log there,
+  /// the way Reset does (ReplaceFile through `<path>.next`), so the new
+  /// log's name is durable before any record is appended to it.
   static Result<WalWriter> Create(const std::string& path, uint64_t epoch);
 
   /// Opens an existing log for appending at `size` (the valid prefix
@@ -153,14 +155,13 @@ class WalWriter {
   Status Sync();
 
   /// Empties the log and starts generation `epoch` (post-checkpoint).
-  /// The new epoch's header is written and fsynced as `<path>.next`,
-  /// which is renamed over the log, so a crash leaves one whole log or
-  /// the other; a stale `<path>.next` is replaced. Once the rename is
-  /// made the writer appends to the new log, even if the directory
-  /// fsync after it fails. The old log is closed on a thread of its
-  /// own: closing frees the pages of every record of its epoch, which
-  /// grows with the ingest rate and would otherwise hold up the
-  /// checkpoint.
+  /// The new epoch's header is put in place by ReplaceFile through
+  /// `<path>.next`, so a crash leaves one whole log or the other; a
+  /// stale `<path>.next` is replaced. Once the rename is made the writer
+  /// appends to the new log, even if the directory fsync after it
+  /// fails. The old log is closed on a thread of its own: closing frees
+  /// the pages of every record of its epoch, which grows with the
+  /// ingest rate and would otherwise hold up the checkpoint.
   Status Reset(uint64_t epoch);
 
   /// Truncates back to `offset` (a record boundary captured from

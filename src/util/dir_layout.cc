@@ -41,8 +41,9 @@ Status WriteShardManifest(const std::string& data_dir, size_t shards) {
   if (shards < 1 || shards > kMaxShards) {
     return Status::InvalidArgument("shard count out of range");
   }
-  return WriteFileAtomic(ShardManifestPath(data_dir),
-                         "shards=" + std::to_string(shards) + "\n");
+  const std::string path = ShardManifestPath(data_dir);
+  return ReplaceFile(path + ".tmp", path,
+                     "shards=" + std::to_string(shards) + "\n");
 }
 
 uint64_t ShardHash(std::string_view series) noexcept {

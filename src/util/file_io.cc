@@ -14,12 +14,27 @@ namespace dd {
 namespace {
 
 std::atomic<uint64_t> g_fsync_count{0};
+std::atomic<FileFaultHook> g_fault_hook{nullptr};
+
+/// Runs `call`, a system call that returns -1 on failure, unless a
+/// test's FileFaultHook fails `op` on `path`: then errno is the hook's
+/// and the call is not made.
+template <typename Call>
+auto Faultable(FileOp op, const std::string& path, Call call) {
+  if (const FileFaultHook hook = g_fault_hook.load(std::memory_order_acquire)) {
+    if (const int error = hook(op, path); error != 0) {
+      errno = error;
+      return decltype(call())(-1);
+    }
+  }
+  return call();
+}
 
 /// Every fsync in this file goes through here so TotalFsyncCount() stays
 /// an exact flush census.
-int CountedFsync(int fd) {
+int CountedFsync(FileOp op, const std::string& path, int fd) {
   g_fsync_count.fetch_add(1, std::memory_order_relaxed);
-  return ::fsync(fd);
+  return Faultable(op, path, [fd] { return ::fsync(fd); });
 }
 
 std::string Errno(const std::string& op, const std::string& path) {
@@ -28,7 +43,9 @@ std::string Errno(const std::string& op, const std::string& path) {
 
 Status WriteAll(int fd, std::string_view data, const std::string& path) {
   while (!data.empty()) {
-    const ssize_t n = ::write(fd, data.data(), data.size());
+    const ssize_t n = Faultable(FileOp::kWrite, path, [&] {
+      return ::write(fd, data.data(), data.size());
+    });
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::Internal(Errno("write", path));
@@ -38,17 +55,23 @@ Status WriteAll(int fd, std::string_view data, const std::string& path) {
   return Status::OK();
 }
 
-}  // namespace
-
+/// fsyncs the directory that holds `path`, so that a file created or
+/// renamed there survives power loss.
 Status SyncParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return Status::Internal(Errno("open dir", dir));
-  const int rc = CountedFsync(fd);
+  const int rc = CountedFsync(FileOp::kSyncDir, path, fd);
   ::close(fd);
   if (rc != 0) return Status::Internal(Errno("fsync dir", dir));
   return Status::OK();
+}
+
+}  // namespace
+
+void SetFileFaultHook(FileFaultHook hook) {
+  g_fault_hook.store(hook, std::memory_order_release);
 }
 
 uint64_t TotalFsyncCount() {
@@ -87,27 +110,28 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return contents;
 }
 
-Status WriteFileAtomic(const std::string& path, std::string_view contents) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return Status::InvalidArgument(Errno("open", tmp));
-  Status status = WriteAll(fd, contents, tmp);
-  if (status.ok() && CountedFsync(fd) != 0) {
-    status = Status::Internal(Errno("fsync", tmp));
-  }
-  if (::close(fd) != 0 && status.ok()) {
-    status = Status::Internal(Errno("close", tmp));
+Status ReplaceFile(const std::string& tmp, const std::string& path,
+                   std::string_view contents, bool* renamed,
+                   AppendOnlyFile* file) {
+  if (renamed != nullptr) *renamed = false;
+  DD_RETURN_IF_ERROR(RemoveFileIfExists(tmp));
+  auto opened = AppendOnlyFile::Open(tmp);
+  if (!opened.ok()) return opened.status();
+  AppendOnlyFile created = std::move(opened).value();
+  Status status = created.Append(contents);
+  if (status.ok()) status = created.Sync();
+  if (status.ok() && Faultable(FileOp::kRename, path, [&] {
+        return ::rename(tmp.c_str(), path.c_str());
+      }) != 0) {
+    status = Status::Internal(Errno("rename", path));
   }
   if (!status.ok()) {
     ::unlink(tmp.c_str());
     return status;
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status rename_status = Status::Internal(Errno("rename", path));
-    ::unlink(tmp.c_str());
-    return rename_status;
-  }
+  created.path_ = path;
+  if (renamed != nullptr) *renamed = true;
+  if (file != nullptr) *file = std::move(created);
   return SyncParentDir(path);
 }
 
@@ -125,16 +149,18 @@ Result<FileLock> FileLock::Acquire(const std::string& path) {
     ::close(fd);
     return Status::ResourceExhausted("locked by another process: " + path);
   }
-  return FileLock(fd);
+  return FileLock(path, fd);
 }
 
-FileLock::FileLock(FileLock&& other) noexcept : fd_(other.fd_) {
+FileLock::FileLock(FileLock&& other) noexcept
+    : path_(std::move(other.path_)), fd_(other.fd_) {
   other.fd_ = -1;
 }
 
 FileLock& FileLock::operator=(FileLock&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);  // closing releases the flock
+    path_ = std::move(other.path_);
     fd_ = other.fd_;
     other.fd_ = -1;
   }
@@ -153,7 +179,7 @@ Result<std::string> FileLock::Read() const {
     const ssize_t n = ::pread(fd_, buf, sizeof(buf), off);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Internal(Errno("pread", "lock file"));
+      return Status::Internal(Errno("pread", path_));
     }
     if (n == 0) break;
     contents.append(buf, static_cast<size_t>(n));
@@ -167,20 +193,23 @@ Status FileLock::Write(std::string_view contents) {
   // tmp+rename replacement would break the lock.
   size_t written = 0;
   while (written < contents.size()) {
-    const ssize_t n =
-        ::pwrite(fd_, contents.data() + written, contents.size() - written,
-                 static_cast<off_t>(written));
+    const ssize_t n = Faultable(FileOp::kLockWrite, path_, [&] {
+      return ::pwrite(fd_, contents.data() + written,
+                      contents.size() - written, static_cast<off_t>(written));
+    });
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Internal(Errno("pwrite", "lock file"));
+      return Status::Internal(Errno("pwrite", path_));
     }
     written += static_cast<size_t>(n);
   }
-  if (::ftruncate(fd_, static_cast<off_t>(contents.size())) != 0) {
-    return Status::Internal(Errno("ftruncate", "lock file"));
+  if (Faultable(FileOp::kTruncate, path_, [&] {
+        return ::ftruncate(fd_, static_cast<off_t>(contents.size()));
+      }) != 0) {
+    return Status::Internal(Errno("ftruncate", path_));
   }
-  if (CountedFsync(fd_) != 0) {
-    return Status::Internal(Errno("fsync", "lock file"));
+  if (CountedFsync(FileOp::kSync, path_, fd_) != 0) {
+    return Status::Internal(Errno("fsync", path_));
   }
   return Status::OK();
 }
@@ -225,20 +254,16 @@ Status AppendOnlyFile::Append(std::string_view data) {
 }
 
 Status AppendOnlyFile::Sync() {
-  if (CountedFsync(fd_) != 0) return Status::Internal(Errno("fsync", path_));
-  return Status::OK();
-}
-
-Status AppendOnlyFile::RenameTo(const std::string& path) {
-  if (::rename(path_.c_str(), path.c_str()) != 0) {
-    return Status::Internal(Errno("rename", path));
+  if (CountedFsync(FileOp::kSync, path_, fd_) != 0) {
+    return Status::Internal(Errno("fsync", path_));
   }
-  path_ = path;
   return Status::OK();
 }
 
 Status AppendOnlyFile::Truncate(uint64_t size) {
-  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+  if (Faultable(FileOp::kTruncate, path_, [&] {
+        return ::ftruncate(fd_, static_cast<off_t>(size));
+      }) != 0) {
     return Status::Internal(Errno("ftruncate", path_));
   }
   size_ = size;

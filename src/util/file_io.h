@@ -4,9 +4,13 @@
 //  * AppendOnlyFile — an append cursor for the write-ahead log. Append()
 //    pushes bytes to the OS immediately (surviving a process crash);
 //    Sync() additionally fsyncs (surviving a machine crash).
-//  * WriteFileAtomic — tmp-file + fsync + rename, so readers observe either
-//    the old file or the complete new one, never a torn write. Used for
-//    snapshots.
+//  * ReplaceFile — tmp-file + fsync + rename + directory fsync, so readers
+//    observe either the old file or the complete new one, never a torn
+//    write. Every file put in place goes through it: snapshots, a new or
+//    reset WAL, the shard manifest and sketchd's port file.
+//
+// This file is the only code that writes, fsyncs, renames or truncates
+// a file, so a test can fail any of those steps through FileFaultHook.
 
 #ifndef DDSKETCH_UTIL_FILE_IO_H_
 #define DDSKETCH_UTIL_FILE_IO_H_
@@ -20,7 +24,7 @@
 namespace dd {
 
 /// Process-wide count of fsync(2) calls issued through this layer
-/// (AppendOnlyFile::Sync, WriteFileAtomic, directory syncs). Monotonic and
+/// (AppendOnlyFile::Sync, ReplaceFile, directory syncs). Monotonic and
 /// thread-safe. Lets tests assert batching behavior (group commit must
 /// turn N record flushes into one) and tools report flush rates.
 uint64_t TotalFsyncCount();
@@ -36,17 +40,41 @@ Status CreateDirIfMissing(const std::string& path);
 /// be opened.
 Result<std::string> ReadFileToString(const std::string& path);
 
-/// Atomically replaces `path` with `contents`: writes `path + ".tmp"`,
-/// fsyncs it, renames it over `path`, and fsyncs the parent directory so
-/// the rename itself is durable.
-Status WriteFileAtomic(const std::string& path, std::string_view contents);
+class AppendOnlyFile;
+
+/// Puts a file holding `contents` at `path`: writes `tmp` (replacing any
+/// file there) and fsyncs it, renames it over `path`, then fsyncs the
+/// directory so the rename survives power loss. A failure before the
+/// rename removes `tmp` and leaves `path` as it was. The rename is the
+/// point of no return: once it has landed, `*renamed` is set and `*file`
+/// becomes the new file, open for appending (each when given), even if
+/// the directory fsync after it fails. The caller can then no longer
+/// undo the replacement, nor count on it surviving power loss.
+Status ReplaceFile(const std::string& tmp, const std::string& path,
+                   std::string_view contents, bool* renamed = nullptr,
+                   AppendOnlyFile* file = nullptr);
 
 /// Removes a file; OK when it does not exist.
 Status RemoveFileIfExists(const std::string& path);
 
-/// fsyncs the directory that holds `path`, so that a file created or
-/// renamed there survives power loss.
-Status SyncParentDir(const std::string& path);
+/// The steps of this layer a FileFaultHook can fail.
+enum class FileOp {
+  kWrite,      ///< a write of file data (AppendOnlyFile, ReplaceFile)
+  kSync,       ///< an fsync of a file (its data, or the LOCK file)
+  kSyncDir,    ///< the directory fsync that makes `path`'s name durable
+  kRename,     ///< a rename onto `path`
+  kTruncate,   ///< an ftruncate (AppendOnlyFile::Truncate, the LOCK file)
+  kLockWrite,  ///< FileLock::Write's in-place pwrite
+};
+
+/// Test-only fault injection. While a hook is installed this layer calls
+/// it before each FileOp, with the file's path; a nonzero return is an
+/// errno the op then fails with, without reaching the kernel. Null
+/// unless a test sets one, and no option or flag reaches it. The hook is
+/// process-wide and may run on any thread, so a test removes it
+/// (SetFileFaultHook(nullptr)) before it ends, and guards its own state.
+using FileFaultHook = int (*)(FileOp op, const std::string& path);
+void SetFileFaultHook(FileFaultHook hook);
 
 /// An exclusive advisory lock on a lock file (flock), serializing access
 /// to a data directory across processes. Released on destruction.
@@ -54,7 +82,7 @@ Status SyncParentDir(const std::string& path);
 /// The lock file doubles as the durable home of the replication fencing
 /// token (timeseries/durable_store.h): Read/Write operate on the flock'd
 /// fd itself, in place (pwrite + ftruncate + fsync). They must NOT go
-/// through WriteFileAtomic — its rename would swap a new inode under the
+/// through ReplaceFile — its rename would swap a new inode under the
 /// path while the flock stays on the old one, so the next Acquire would
 /// lock a different file than the one this process holds.
 class FileLock {
@@ -77,7 +105,8 @@ class FileLock {
   Status Write(std::string_view contents);
 
  private:
-  explicit FileLock(int fd) : fd_(fd) {}
+  FileLock(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+  std::string path_;
   int fd_ = -1;
 };
 
@@ -88,6 +117,9 @@ class FileLock {
 class AppendOnlyFile {
  public:
   static Result<AppendOnlyFile> Open(const std::string& path);
+
+  /// A closed handle, for ReplaceFile to fill.
+  AppendOnlyFile() = default;
 
   AppendOnlyFile(AppendOnlyFile&& other) noexcept;
   AppendOnlyFile& operator=(AppendOnlyFile&& other) noexcept;
@@ -105,11 +137,6 @@ class AppendOnlyFile {
   /// to cut a torn tail or a failed append off the WAL.
   Status Truncate(uint64_t size);
 
-  /// Renames the file to `path`, replacing any file there; the handle
-  /// keeps its descriptor and offset and from then on names `path`. The
-  /// rename is durable only once the caller has run SyncParentDir.
-  Status RenameTo(const std::string& path);
-
   /// Bytes in the file (append offset).
   uint64_t size() const noexcept { return size_; }
 
@@ -118,6 +145,9 @@ class AppendOnlyFile {
  private:
   AppendOnlyFile(std::string path, int fd, uint64_t size)
       : path_(std::move(path)), fd_(fd), size_(size) {}
+
+  friend Status ReplaceFile(const std::string&, const std::string&,
+                            std::string_view, bool*, AppendOnlyFile*);
 
   std::string path_;
   int fd_ = -1;

@@ -11,21 +11,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include <fcntl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include "core/ddsketch.h"
+#include "file_faults.h"
 #include "timeseries/snapshot.h"
 #include "timeseries/wal.h"
 #include "util/file_io.h"
@@ -104,25 +107,6 @@ class DurabilityTest : public ::testing::Test {
     const Status status = write();
     EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
     std::signal(SIGXFSZ, handler);
-    return status;
-  }
-
-  /// Runs `write` with one file descriptor to spare: the descriptor
-  /// limit is set just past the lowest free descriptor, so one open
-  /// succeeds and a second one while it is held fails with EMFILE. The
-  /// limit is restored right after the call.
-  template <typename Write>
-  static Status WithOneSpareDescriptor(Write write) {
-    const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    EXPECT_GE(lowest_free, 0);
-    ::close(lowest_free);
-    struct rlimit saved;
-    EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
-    struct rlimit capped = saved;
-    capped.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
-    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &capped), 0);
-    const Status status = write();
-    EXPECT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
     return status;
   }
 
@@ -532,18 +516,23 @@ TEST_F(DurabilityTest, StaleNextWalIsIgnoredAndReplacedByTheNextReset) {
 }
 
 TEST_F(DurabilityTest, FailedWalResetRefusesWritesUntilReopened) {
-  // A checkpoint resets the WAL after its snapshot is written, so after
-  // a failed reset the log must take no more records: before the
-  // rename it is the old epoch's, whose records recovery discards as
-  // already in the snapshot; after it, the rename may not be durable.
+  // Once a checkpoint's snapshot is renamed into place it carries the
+  // WAL's own epoch, so until the WAL reset completes the log must take
+  // no more records: the old epoch's are discarded by recovery as
+  // already in the snapshot, and a new log's rename may not be durable.
   // The store refuses every later write, and a reopen recovers every
-  // acknowledged one. Two steps fail here: removing a stale
-  // `wal.log.next` (a directory stands in its place), and the directory
-  // fsync after the rename (no descriptor is left to open the
-  // directory with).
-  for (const bool after_rename : {false, true}) {
-    SCOPED_TRACE(after_rename ? "after the rename" : "before the rename");
-    const std::string dir = Dir(after_rename ? "after" : "before");
+  // acknowledged one. Three steps fail here: removing a stale
+  // `wal.log.next` before the reset's rename (a directory stands in its
+  // place), the directory fsync after that rename, and the snapshot's
+  // own directory fsync after its rename.
+  enum class Step { kBeforeResetRename, kResetDirSync, kSnapshotDirSync };
+  for (const Step step :
+       {Step::kBeforeResetRename, Step::kResetDirSync, Step::kSnapshotDirSync}) {
+    const char* name = step == Step::kBeforeResetRename ? "before"
+                       : step == Step::kResetDirSync    ? "reset_dir_sync"
+                                                        : "snapshot_dir_sync";
+    SCOPED_TRACE(name);
+    const std::string dir = Dir(name);
     const std::string next = DurableSketchStore::WalPath(dir) + ".next";
     std::string fp;
     {
@@ -553,16 +542,23 @@ TEST_F(DurabilityTest, FailedWalResetRefusesWritesUntilReopened) {
       }
       fp = Fingerprint(store.store());
       Status checkpoint;
-      if (after_rename) {
-        checkpoint = WithOneSpareDescriptor([&] { return store.Checkpoint(); });
-      } else {
+      if (step == Step::kBeforeResetRename) {
         fs::create_directories(fs::path(next) / "entry");
         checkpoint = store.Checkpoint();
+      } else {
+        ScopedFileFault fault(FileOp::kSyncDir,
+                              step == Step::kResetDirSync
+                                  ? DurableSketchStore::WalPath(dir)
+                                  : DurableSketchStore::SnapshotPath(dir),
+                              EIO);
+        checkpoint = store.Checkpoint();
+        EXPECT_EQ(fault.fired(), 1);
       }
       EXPECT_EQ(checkpoint.code(), StatusCode::kInternal)
           << checkpoint.ToString();
+      EXPECT_EQ(store.failure(), checkpoint);
       // The writer follows the log the directory names.
-      EXPECT_EQ(store.epoch(), after_rename ? 2u : 1u);
+      EXPECT_EQ(store.epoch(), step == Step::kResetDirSync ? 2u : 1u);
       EXPECT_EQ(store.IngestValue("s", 500, 7.0).code(),
                 StatusCode::kInternal);
       EXPECT_EQ(store.Ingest("s", 500, WorkerPayload(1)).code(),
@@ -576,6 +572,51 @@ TEST_F(DurabilityTest, FailedWalResetRefusesWritesUntilReopened) {
     ASSERT_TRUE(reopened.IngestValue("s", 500, 7.0).ok());
     ASSERT_TRUE(reopened.Checkpoint().ok());
   }
+}
+
+TEST_F(DurabilityTest, FailedSnapshotRenameLeavesTheStoreWritable) {
+  // The other side of the point of no return: before its rename a
+  // failed snapshot write changed nothing on disk, so the store stays
+  // writable and its next checkpoint succeeds.
+  const std::string dir = Dir("rename");
+  std::string fp;
+  {
+    DurableSketchStore store = MustOpen(dir);
+    ASSERT_TRUE(store.IngestValue("s", 10, 1.0).ok());
+    {
+      ScopedFileFault fault(FileOp::kRename,
+                            DurableSketchStore::SnapshotPath(dir), EIO);
+      EXPECT_EQ(store.Checkpoint().code(), StatusCode::kInternal);
+      EXPECT_EQ(fault.fired(), 1);
+    }
+    EXPECT_TRUE(store.failure().ok()) << store.failure().ToString();
+    EXPECT_EQ(store.epoch(), 1u);
+    EXPECT_FALSE(fs::exists(DurableSketchStore::SnapshotPath(dir) + ".tmp"));
+    ASSERT_TRUE(store.IngestValue("s", 20, 2.0).ok());
+    ASSERT_TRUE(store.Checkpoint().ok());
+    EXPECT_EQ(store.epoch(), 2u);
+    ASSERT_TRUE(store.IngestValue("s", 30, 3.0).ok());
+    fp = Fingerprint(store.store());
+  }
+  DurableSketchStore reopened = MustOpen(dir);
+  EXPECT_EQ(Fingerprint(reopened.store()), fp);
+}
+
+TEST_F(DurabilityTest, NewWalIsDurablyNamedBeforeOpenReturns) {
+  // A fresh directory's log is renamed into place, and its name made
+  // durable by a directory fsync, before Open returns a store that may
+  // acknowledge records into it. If that fsync fails, Open fails.
+  const std::string dir = Dir("fresh");
+  {
+    ScopedFileFault fault(FileOp::kSyncDir, DurableSketchStore::WalPath(dir),
+                          EIO);
+    auto opened = DurableSketchStore::Open(dir, Options());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(fault.fired(), 1);
+  }
+  DurableSketchStore reopened = MustOpen(dir);
+  ASSERT_TRUE(reopened.IngestValue("s", 10, 1.0).ok());
+  EXPECT_FALSE(fs::exists(DurableSketchStore::WalPath(dir) + ".next"));
 }
 
 TEST_F(DurabilityTest, InterruptedRollupCheckpointRecoversEitherSide) {
@@ -1007,6 +1048,194 @@ TEST_F(DurabilityTest, FailedReplicatedApplyIsTruncated) {
   }
   auto reopened = DurableSketchStore::Open(follower_dir, FollowerOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(SnapshotBytes(reopened.value()), SnapshotBytes(primary));
+}
+
+TEST_F(DurabilityTest, TornWalRefusesEveryLaterWriteOnEveryPrimaryPath) {
+  // A disk that fills up mid-record, and then fails the truncate that
+  // would cut the torn frame off, leaves the log torn: a later record
+  // would land behind the frame, where recovery cannot reach it. So the
+  // store refuses every later write, and a reopen, whose torn-tail scan
+  // cuts the frame, holds exactly the acknowledged records.
+  const std::vector<WalRecord> batch = FractionalBatch();
+  using Write = std::function<Status(DurableSketchStore&)>;
+  const std::vector<std::pair<std::string, Write>> paths = {
+      {"IngestValue",
+       [](DurableSketchStore& store) { return store.IngestValue("s", 5, 2.5); }},
+      {"Ingest",
+       [](DurableSketchStore& store) {
+         return store.Ingest("s", 5, WorkerPayload(3));
+       }},
+      {"IngestBatch",
+       [&](DurableSketchStore& store) { return store.IngestBatch(batch); }},
+  };
+  for (const auto& [name, write] : paths) {
+    SCOPED_TRACE(name);
+    const std::string dir = Dir(name);
+    std::string fp;
+    {
+      DurableSketchStore store = MustOpen(dir);
+      ASSERT_TRUE(store.IngestValue("s", 5, 1.5).ok());
+      fp = Fingerprint(store.store());
+      {
+        ScopedFileFault fault(FileOp::kTruncate,
+                              DurableSketchStore::WalPath(dir), EIO);
+        const Status torn = WithWalCapped(dir, [&] { return write(store); });
+        EXPECT_EQ(torn.code(), StatusCode::kInternal) << torn.ToString();
+        EXPECT_EQ(fault.fired(), 1);
+        EXPECT_EQ(store.failure(), torn);
+      }
+      EXPECT_GT(WalFileSize(dir), store.wal_offset());  // the torn frame
+      for (const auto& [other, refused] : paths) {
+        EXPECT_EQ(refused(store).code(), StatusCode::kInternal) << other;
+      }
+      EXPECT_EQ(store.Checkpoint().code(), StatusCode::kInternal);
+      EXPECT_EQ(Fingerprint(store.store()), fp);
+    }
+    DurableSketchStore reopened = MustOpen(dir);
+    EXPECT_EQ(Fingerprint(reopened.store()), fp);
+    ASSERT_TRUE(write(reopened).ok());
+  }
+}
+
+TEST_F(DurabilityTest, TornReplicatedApplyRefusesTheReshippedSegment) {
+  // The follower's apply is the same guarded commit: after a torn,
+  // unrepaired append it must refuse the primary's re-shipped segment
+  // rather than acknowledge bytes that recovery could not reach.
+  const std::string primary_dir = Dir("primary");
+  const std::string follower_dir = Dir("follower");
+  DurableSketchStore primary = MustOpen(primary_dir);
+  ASSERT_TRUE(primary.IngestBatch(FractionalBatch()).ok());
+  auto segment = primary.ReadWalChunk(kWalHeaderBytes, 1 << 20);
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  std::string empty;
+  {
+    auto opened = DurableSketchStore::Open(follower_dir, FollowerOptions());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DurableSketchStore& follower = opened.value();
+    empty = SnapshotBytes(follower);
+    const auto apply = [&] {
+      return follower.ApplyReplicatedSegment(primary.epoch(), kWalHeaderBytes,
+                                             segment.value());
+    };
+    {
+      ScopedFileFault fault(FileOp::kTruncate,
+                            DurableSketchStore::WalPath(follower_dir), EIO);
+      EXPECT_EQ(WithWalCapped(follower_dir, apply).code(),
+                StatusCode::kInternal);
+      EXPECT_EQ(fault.fired(), 1);
+    }
+    EXPECT_EQ(apply().code(), StatusCode::kInternal);
+    EXPECT_EQ(follower.wal_offset(), kWalHeaderBytes);
+    EXPECT_EQ(SnapshotBytes(follower), empty);
+  }
+  auto reopened = DurableSketchStore::Open(follower_dir, FollowerOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(SnapshotBytes(reopened.value()), empty);
+  ASSERT_TRUE(reopened.value()
+                  .ApplyReplicatedSegment(primary.epoch(), kWalHeaderBytes,
+                                          segment.value())
+                  .ok());
+  EXPECT_EQ(SnapshotBytes(reopened.value()), SnapshotBytes(primary));
+}
+
+TEST_F(DurabilityTest, FailedWalFsyncIsStickyOnBothWritePaths) {
+  // After an fsync fails, a retried fsync can report success for pages
+  // the kernel has already dropped, so no later record may be
+  // acknowledged: one failed WAL fsync refuses every later write, on
+  // the primary's path and on a follower's apply. The refused batch is
+  // cut back off the log, so a reopen holds exactly the acked records.
+  const std::string primary_dir = Dir("primary");
+  std::string fp;
+  {
+    DurableSketchStore primary = MustOpen(primary_dir);
+    ASSERT_TRUE(primary.IngestValue("s", 5, 1.5).ok());
+    fp = Fingerprint(primary.store());
+    {
+      ScopedFileFault fault(FileOp::kSync,
+                            DurableSketchStore::WalPath(primary_dir), EIO, 1);
+      EXPECT_EQ(primary.IngestValue("s", 5, 2.5).code(),
+                StatusCode::kInternal);
+      EXPECT_EQ(fault.fired(), 1);
+    }
+    EXPECT_EQ(WalFileSize(primary_dir), primary.wal_offset());
+    EXPECT_EQ(primary.IngestValue("s", 5, 3.5).code(), StatusCode::kInternal);
+    EXPECT_EQ(primary.IngestBatch(FractionalBatch()).code(),
+              StatusCode::kInternal);
+    EXPECT_EQ(primary.Checkpoint().code(), StatusCode::kInternal);
+    EXPECT_EQ(Fingerprint(primary.store()), fp);
+  }
+  {
+    DurableSketchStore reopened = MustOpen(primary_dir);
+    EXPECT_EQ(Fingerprint(reopened.store()), fp);
+  }
+
+  DurableSketchStore primary = MustOpen(Dir("source"));
+  ASSERT_TRUE(primary.IngestBatch(FractionalBatch()).ok());
+  auto segment = primary.ReadWalChunk(kWalHeaderBytes, 1 << 20);
+  ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+  const std::string follower_dir = Dir("follower");
+  {
+    auto opened = DurableSketchStore::Open(follower_dir, FollowerOptions());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DurableSketchStore& follower = opened.value();
+    const auto apply = [&] {
+      return follower.ApplyReplicatedSegment(primary.epoch(), kWalHeaderBytes,
+                                             segment.value());
+    };
+    {
+      ScopedFileFault fault(FileOp::kSync,
+                            DurableSketchStore::WalPath(follower_dir), EIO, 1);
+      EXPECT_EQ(apply().code(), StatusCode::kInternal);
+      EXPECT_EQ(fault.fired(), 1);
+    }
+    EXPECT_EQ(apply().code(), StatusCode::kInternal);
+    EXPECT_EQ(follower.wal_offset(), kWalHeaderBytes);
+  }
+  auto reopened = DurableSketchStore::Open(follower_dir, FollowerOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE(reopened.value()
+                  .ApplyReplicatedSegment(primary.epoch(), kWalHeaderBytes,
+                                          segment.value())
+                  .ok());
+  EXPECT_EQ(SnapshotBytes(reopened.value()), SnapshotBytes(primary));
+}
+
+TEST_F(DurabilityTest, FailedReplicatedInstallRefusesWritesUntilReopened) {
+  // A follower's snapshot install removes its WAL first; a failure after
+  // that leaves the writer on a removed log, so the follower refuses
+  // every later apply and install until it is reopened, which installs
+  // cleanly.
+  DurableSketchStore primary = MustOpen(Dir("primary"));
+  ASSERT_TRUE(primary.IngestBatch(FractionalBatch()).ok());
+  ASSERT_TRUE(primary.Checkpoint().ok());
+  const std::string image = primary.EncodeReplicationSnapshot();
+  const std::string follower_dir = Dir("follower");
+  {
+    auto opened = DurableSketchStore::Open(follower_dir, FollowerOptions());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DurableSketchStore& follower = opened.value();
+    {
+      ScopedFileFault fault(FileOp::kRename,
+                            DurableSketchStore::SnapshotPath(follower_dir),
+                            EIO);
+      EXPECT_EQ(follower.InstallReplicatedSnapshot(image, primary.epoch())
+                    .code(),
+                StatusCode::kInternal);
+      EXPECT_EQ(fault.fired(), 1);
+    }
+    EXPECT_FALSE(follower.failure().ok());
+    EXPECT_EQ(follower.InstallReplicatedSnapshot(image, primary.epoch()).code(),
+              StatusCode::kInternal);
+    EXPECT_EQ(
+        follower.ApplyReplicatedSegment(follower.epoch(), kWalHeaderBytes, "")
+            .code(),
+        StatusCode::kInternal);
+  }
+  auto reopened = DurableSketchStore::Open(follower_dir, FollowerOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE(
+      reopened.value().InstallReplicatedSnapshot(image, primary.epoch()).ok());
   EXPECT_EQ(SnapshotBytes(reopened.value()), SnapshotBytes(primary));
 }
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -30,9 +31,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "file_faults.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "timeseries/durable_store.h"
+#include "timeseries/sharded_store.h"
 #include "timeseries/sketch_store.h"
 #include "timeseries/snapshot.h"
 #include "util/status.h"
@@ -763,6 +766,69 @@ TEST_F(ReplicationTest, PromoteOnAPrimaryBumpsTheToken) {
   auto after = reopened_client.Stats();
   ASSERT_TRUE(after.ok());
   EXPECT_GE(after.value().fence_token, token.value());
+}
+
+// ---------------------------------------------------------------------------
+// SketchServer::Promote promotes shard by shard, so a LOCK write that
+// fails on shard 1 leaves shard 0 already primary at the new token. The
+// server must keep refusing writes with FENCED while it answers QUERY
+// and STATS, and a retried PROMOTE must leave both shards primary at
+// one token, across a restart too.
+
+TEST_F(ReplicationTest, PromoteThatFailsPartwayStaysFencedUntilRetried) {
+  SketchServerOptions primary_options;
+  primary_options.shards = 2;
+  auto primary = MustStart(Dir("primary"), primary_options);
+  const std::string follower_dir = Dir("follower");
+  SketchServerOptions follower_options = FollowerOptions(primary->port());
+  follower_options.shards = 2;
+  auto follower = MustStart(follower_dir, follower_options);
+  AwaitSubscribers(primary->port(), 1);
+
+  std::vector<std::string> series;
+  for (int n = 0; series.size() < 2; ++n) {
+    const std::string name = "promote." + std::to_string(n);
+    if (ShardedDurableStore::ShardForSeries(name, 2) == series.size()) {
+      series.push_back(name);
+    }
+  }
+  SketchClient client = MustConnect(primary->port());
+  for (const std::string& name : series) {
+    ASSERT_TRUE(client.IngestValue(name, 0, 1.0).ok());
+  }
+
+  SketchClient follower_client = MustConnect(follower->port());
+  {
+    ScopedFileFault fault(FileOp::kLockWrite, follower_dir + "/shard-1/LOCK",
+                          EIO, 1);
+    EXPECT_FALSE(follower_client.Promote().ok());
+    EXPECT_EQ(fault.fired(), 1);
+  }
+  EXPECT_TRUE(follower->writes_fenced());
+  for (const std::string& name : series) {
+    EXPECT_EQ(follower_client.IngestValue(name, 1, 2.0).code(),
+              StatusCode::kFenced)
+        << name;
+    auto answer = follower_client.Query(name, 0, 10, {0.5});
+    ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  }
+  auto stats = follower_client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.value().fenced, 1u);
+
+  auto token = follower_client.Promote();
+  ASSERT_TRUE(token.ok()) << token.status().ToString();
+  for (const std::string& name : series) {
+    ASSERT_TRUE(follower_client.IngestValue(name, 1, 2.0).ok()) << name;
+  }
+  follower->Stop();
+  for (size_t k = 0; k < 2; ++k) {
+    auto shard = DurableSketchStore::Open(
+        follower_dir + "/shard-" + std::to_string(k), {});
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    EXPECT_EQ(shard.value().fence_token(), token.value()) << "shard " << k;
+    EXPECT_FALSE(shard.value().fenced()) << "shard " << k;
+  }
 }
 
 }  // namespace

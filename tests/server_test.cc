@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include <unistd.h>
 
 #include "core/ddsketch.h"
+#include "file_faults.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "timeseries/durable_store.h"
@@ -106,6 +108,33 @@ class ServerTest : public ::testing::Test {
     }
     ::close(fd.value());
     return responses;
+  }
+
+  /// The first series `svc.<n>` that a `shards`-shard server routes to
+  /// `shard`.
+  static std::string SeriesOnShard(size_t shard, size_t shards) {
+    for (int n = 0;; ++n) {
+      std::string series = "svc." + std::to_string(n);
+      if (ShardedDurableStore::ShardForSeries(series, shards) == shard) {
+        return series;
+      }
+    }
+  }
+
+  /// The number of values `series` holds after reopening `dir`.
+  static uint64_t ReopenedCount(const std::string& dir,
+                                const std::string& series) {
+    auto reopened = ShardedDurableStore::Open(dir, {});
+    EXPECT_TRUE(reopened.ok()) << reopened.status().ToString();
+    auto merged = reopened.value().QueryRange(series, 0, 1000);
+    EXPECT_TRUE(merged.ok()) << merged.status().ToString();
+    return merged.value().count();
+  }
+
+  static std::string WorkerPayload() {
+    auto worker = std::move(DDSketch::Create(DDSketchConfig{})).value();
+    for (int i = 1; i <= 10; ++i) worker.Add(static_cast<double>(i));
+    return worker.Serialize();
   }
 
   static Request IngestRequest(const std::string& series, int64_t timestamp,
@@ -539,6 +568,111 @@ TEST_F(ServerTest, FailedFenceWriteIsRetriedInTheBackground) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value().fence_token(), 5u);
   EXPECT_TRUE(reopened.value().fenced());
+}
+
+TEST_F(ServerTest, FailedWalFsyncRefusesOnlyItsShard) {
+  // A failed WAL fsync is past the point of no return for that shard's
+  // store: it refuses every later INGEST and MERGE of the shard with its
+  // own status, while the other shard still acks and QUERY and STATS
+  // still answer. A restart recovers every acknowledged write.
+  const std::string dir = Dir("fsync");
+  SketchServerOptions options;
+  options.shards = 2;
+  auto server = MustStart(dir, options);
+  SketchClient client = MustConnect(*server);
+  const std::string healthy = SeriesOnShard(0, 2);
+  const std::string failed = SeriesOnShard(1, 2);
+  ASSERT_TRUE(client.IngestValue(healthy, 0, 1.0).ok());
+  ASSERT_TRUE(client.IngestValue(failed, 0, 2.0).ok());
+  {
+    ScopedFileFault fault(FileOp::kSync, dir + "/shard-1/wal.log", EIO, 1);
+    const Status refused = client.IngestValue(failed, 0, 3.0);
+    EXPECT_EQ(refused.code(), StatusCode::kInternal);
+    EXPECT_NE(refused.message().find("WAL fsync failed"), std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(fault.fired(), 1);
+  }
+  for (const Status& refused : {client.IngestValue(failed, 0, 4.0),
+                                client.Merge(failed, 0, WorkerPayload())}) {
+    EXPECT_EQ(refused.code(), StatusCode::kInternal);
+    EXPECT_NE(refused.message().find(
+                  "WAL fsync failed: fsync " + dir + "/shard-1/wal.log"),
+              std::string::npos)
+        << refused.ToString();
+    EXPECT_NE(
+        refused.message().find("writes are refused until the store reopens"),
+        std::string::npos)
+        << refused.ToString();
+  }
+  ASSERT_TRUE(client.IngestValue(healthy, 0, 5.0).ok());
+  ASSERT_TRUE(client.Merge(healthy, 0, WorkerPayload()).ok());
+  auto answer = client.Query(failed, 0, 10, {0.5});
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_NEAR(answer.value()[0], 2.0, 0.05);
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats.value().num_series, 2u);
+  server->Stop();
+  EXPECT_EQ(ReopenedCount(dir, healthy), 12u);
+  EXPECT_EQ(ReopenedCount(dir, failed), 1u);
+}
+
+TEST_F(ServerTest, CheckpointFailedPastItsRenameRefusesTheNextIngest) {
+  // Once shard 0's snapshot is renamed into place it carries the WAL's
+  // own epoch, whose records recovery discards as folded. If the
+  // directory fsync after the rename fails, the next INGEST to that
+  // shard must be refused, not acknowledged and then lost on restart.
+  const std::string dir = Dir("ckpt_fsync");
+  SketchServerOptions options;
+  options.shards = 2;
+  auto server = MustStart(dir, options);
+  SketchClient client = MustConnect(*server);
+  const std::string failed = SeriesOnShard(0, 2);
+  const std::string healthy = SeriesOnShard(1, 2);
+  ASSERT_TRUE(client.IngestValue(failed, 0, 1.0).ok());
+  ASSERT_TRUE(client.IngestValue(healthy, 0, 2.0).ok());
+  {
+    ScopedFileFault fault(FileOp::kSyncDir, dir + "/shard-0/snapshot.dds",
+                          EIO, 1);
+    EXPECT_EQ(client.Checkpoint().status().code(), StatusCode::kInternal);
+    EXPECT_EQ(fault.fired(), 1);
+  }
+  const Status refused = client.IngestValue(failed, 0, 3.0);
+  EXPECT_EQ(refused.code(), StatusCode::kInternal);
+  EXPECT_NE(refused.message().find(
+                "snapshot renamed but its directory fsync failed"),
+            std::string::npos)
+      << refused.ToString();
+  ASSERT_TRUE(client.IngestValue(healthy, 0, 4.0).ok());
+  server->Stop();
+  EXPECT_EQ(ReopenedCount(dir, failed), refused.ok() ? 2u : 1u);
+  EXPECT_EQ(ReopenedCount(dir, healthy), 2u);
+}
+
+TEST_F(ServerTest, OneFailedWalWriteRefusesOnlyItsBatch) {
+  // A full disk that fails one append, which the store cuts back off
+  // cleanly, refuses only that batch: the shard stays writable, and a
+  // restart holds every acknowledged write and nothing of the refused.
+  const std::string dir = Dir("enospc");
+  SketchServerOptions options;
+  options.shards = 2;
+  auto server = MustStart(dir, options);
+  SketchClient client = MustConnect(*server);
+  const std::string series = SeriesOnShard(0, 2);
+  ASSERT_TRUE(client.IngestValue(series, 0, 1.0).ok());
+  {
+    ScopedFileFault fault(FileOp::kWrite, dir + "/shard-0/wal.log", ENOSPC,
+                          1);
+    EXPECT_EQ(client.IngestValue(series, 0, 2.0).code(),
+              StatusCode::kInternal);
+    EXPECT_EQ(fault.fired(), 1);
+  }
+  ASSERT_TRUE(client.IngestValue(series, 0, 3.0).ok());
+  ASSERT_TRUE(client.Merge(series, 0, WorkerPayload()).ok());
+  ASSERT_TRUE(client.Checkpoint().ok());
+  ASSERT_TRUE(client.IngestValue(series, 0, 4.0).ok());
+  server->Stop();
+  EXPECT_EQ(ReopenedCount(dir, series), 13u);
 }
 
 TEST_F(ServerTest, ConcurrentClientsAllRecoverAfterStop) {

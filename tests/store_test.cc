@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -255,6 +257,25 @@ TEST(CollapsingLowestTest, FoldsLowIndicesWhenSpanExceeded) {
   s.ForEach([&](int32_t i, uint64_t c) { got[i] = c; });
   const std::map<int32_t, uint64_t> expected = {{4, 5}, {5, 1}, {6, 1}, {7, 1}};
   EXPECT_EQ(got, expected);
+
+  // A fold across a wide gap: the array moves onto the window the fold
+  // leaves instead of spanning the gap (which would take 128 MB here).
+  constexpr int32_t kFar = 1 << 24;
+  CollapsingLowestDenseStore wide(2048);
+  wide.Add(0, 3);
+  wide.Add(kFar, 1);
+  EXPECT_LT(wide.size_in_bytes(), 64u << 10);
+  EXPECT_TRUE(wide.has_collapsed());
+  EXPECT_EQ(wide.min_index(), kFar - 2047);
+  EXPECT_EQ(wide.max_index(), kFar);
+  got.clear();
+  wide.ForEach([&](int32_t i, uint64_t c) { got[i] = c; });
+  EXPECT_EQ(got, (std::map<int32_t, uint64_t>{{kFar - 2047, 3}, {kFar, 1}}));
+  EXPECT_EQ(wide.Remove(0, 1), 1u);  // redirected into the fold bucket
+  EXPECT_EQ(wide.total_count(), 3u);
+  wide.Add(kFar + 1, 1);  // the window slides within the moved array
+  EXPECT_EQ(wide.min_index(), kFar - 2046);
+  EXPECT_EQ(wide.total_count(), 4u);
 }
 
 TEST(CollapsingLowestTest, LowIncomingValueRedirected) {
@@ -301,6 +322,64 @@ TEST(CollapsingHighestTest, FoldsHighIndices) {
   s.ForEach([&](int32_t i, uint64_t c) { got[i] = c; });
   const std::map<int32_t, uint64_t> expected = {{0, 1}, {1, 1}, {2, 1}, {3, 5}};
   EXPECT_EQ(got, expected);
+
+  // The mirror of CollapsingLowestTest's wide gap.
+  constexpr int32_t kFar = 1 << 24;
+  CollapsingHighestDenseStore wide(2048);
+  wide.Add(kFar, 3);
+  wide.Add(0, 1);
+  EXPECT_LT(wide.size_in_bytes(), 64u << 10);
+  EXPECT_TRUE(wide.has_collapsed());
+  EXPECT_EQ(wide.min_index(), 0);
+  EXPECT_EQ(wide.max_index(), 2047);
+  got.clear();
+  wide.ForEach([&](int32_t i, uint64_t c) { got[i] = c; });
+  EXPECT_EQ(got, (std::map<int32_t, uint64_t>{{0, 1}, {2047, 3}}));
+  EXPECT_EQ(wide.Remove(kFar, 1), 1u);  // redirected into the fold bucket
+  EXPECT_EQ(wide.total_count(), 3u);
+  wide.Add(-1, 1);  // the window slides within the moved array
+  EXPECT_EQ(wide.max_index(), 2046);
+  EXPECT_EQ(wide.total_count(), 4u);
+}
+
+TEST(IndexSpanTest, ExtremeIndicesDoNotOverflow) {
+  // Read through volatiles so the subtraction runs where a sanitizer
+  // sees it, not in the compiler's constant folding.
+  volatile int32_t lo = std::numeric_limits<int32_t>::min();
+  volatile int32_t hi = std::numeric_limits<int32_t>::max();
+  EXPECT_EQ(IndexSpan(lo, hi), (int64_t{1} << 32) - 1);
+  EXPECT_EQ(IndexSpan(hi, lo), -((int64_t{1} << 32) - 1));
+  CollapsingLowestDenseStore lowest(2048);
+  EXPECT_FALSE(lowest.ReserveMergeSpan(lo, hi, 1));
+
+  // Folds at both ends of the index range keep the array inside it.
+  lowest.Add(lo, 1);
+  lowest.Add(hi, 1);
+  EXPECT_LT(lowest.size_in_bytes(), 64u << 10);
+  EXPECT_EQ(lowest.min_index(), hi - 2047);
+  EXPECT_EQ(lowest.max_index(), hi);
+  EXPECT_EQ(lowest.total_count(), 2u);
+  CollapsingHighestDenseStore highest(2048);
+  highest.Add(hi, 1);
+  highest.Add(lo, 1);
+  EXPECT_LT(highest.size_in_bytes(), 64u << 10);
+  EXPECT_EQ(highest.min_index(), lo);
+  EXPECT_EQ(highest.max_index(), lo + 2047);
+  EXPECT_EQ(highest.total_count(), 2u);
+
+  // The bucket walks stop at the range's ends instead of stepping past.
+  const auto buckets = [](const Store& store, bool descending) {
+    std::vector<int32_t> seen;
+    const auto visit = [&](int32_t i, uint64_t) { seen.push_back(i); };
+    descending ? store.ForEachDescending(visit) : store.ForEach(visit);
+    return seen;
+  };
+  EXPECT_EQ(buckets(lowest, false), (std::vector<int32_t>{hi - 2047, hi}));
+  EXPECT_EQ(buckets(highest, true), (std::vector<int32_t>{lo + 2047, lo}));
+  EXPECT_EQ(lowest.num_buckets(), 2u);
+  CollapsingLowestDenseStore merged(2048);
+  merged.MergeFrom(lowest);
+  EXPECT_EQ(buckets(merged, true), (std::vector<int32_t>{hi, hi - 2047}));
 }
 
 TEST(CollapsingHighestTest, HighIncomingValueRedirected) {

@@ -353,7 +353,8 @@ int main(int argc, char** argv) {
   if (!port_file.empty()) {
     // Atomic so a watcher never reads a half-written port number.
     const std::string contents = std::to_string(server.value()->port()) + "\n";
-    if (dd::Status s = dd::WriteFileAtomic(port_file, contents); !s.ok()) {
+    if (dd::Status s = dd::ReplaceFile(port_file + ".tmp", port_file, contents);
+        !s.ok()) {
       server.value()->Stop();
       return Fail(s.ToString());
     }
